@@ -15,7 +15,7 @@ let sweep_rate ~label ~config ~n_seeds ~from =
     label;
     string_of_int n_seeds;
     string_of_int r.Ck.Explore.events;
-    Printf.sprintf "%.0f" (float_of_int n_seeds /. dt);
+    Printf.sprintf "%.1f" (float_of_int n_seeds /. dt);
     Printf.sprintf "%.0f" (float_of_int r.Ck.Explore.events /. dt);
   ]
 
@@ -38,6 +38,11 @@ let e14 () =
       sweep_rate ~label:"2 sites, 16 txns x 8 ops"
         ~config:{ base with Ck.Explore.txns = 16; ops = 8; records = 8 }
         ~n_seeds:50 ~from:0;
+      sweep_rate ~label:"3 sites, 512 txns x 4 ops, open loop 2/s"
+        ~config:
+          { base with
+            Ck.Explore.sites = 3; txns = 512; records = 512; arrival = Some 2. }
+        ~n_seeds:4 ~from:0;
     ]
   in
   Tables.print_table ~title:"schedule exploration throughput (real CPU time)"

@@ -87,49 +87,52 @@ type stale_candidate = {
 }
 
 module Tx_tbl = Hashtbl
-module Edge_key = struct
-  type t = Txid.t * Txid.t
-end
+module Int_tbl = Hashtbl.Make (Int)
 
-(* Tarjan's strongly-connected components over txid nodes. *)
-let sccs ~nodes ~succ =
-  let index = Tx_tbl.create 16 in
-  let lowlink = Tx_tbl.create 16 in
-  let on_stack = Tx_tbl.create 16 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let out = ref [] in
-  let rec strongconnect v =
-    Tx_tbl.replace index v !counter;
-    Tx_tbl.replace lowlink v !counter;
+(* Tarjan's strongly-connected components over the dense nodes
+   0..v-1 of an adjacency array: node x's out-edges are the edges
+   off.(x) .. off.(x+1)-1, edge e leads to [dst e], and only the edges
+   [follow] accepts are walked. Returns the components of two or more
+   nodes — the cycles — each sorted ascending, in ascending order. *)
+let cycles ~off ~dst ~follow =
+  let v = Array.length off - 1 in
+  let index = Array.make v (-1) and lowlink = Array.make v 0 in
+  let on_stack = Array.make v false in
+  let stack = ref [] and counter = ref 0 and out = ref [] in
+  let rec strongconnect x =
+    index.(x) <- !counter;
+    lowlink.(x) <- !counter;
     incr counter;
-    stack := v :: !stack;
-    Tx_tbl.replace on_stack v true;
-    List.iter
-      (fun w ->
-        if not (Tx_tbl.mem index w) then begin
-          strongconnect w;
-          Tx_tbl.replace lowlink v
-            (min (Tx_tbl.find lowlink v) (Tx_tbl.find lowlink w))
+    stack := x :: !stack;
+    on_stack.(x) <- true;
+    for e = off.(x) to off.(x + 1) - 1 do
+      if follow e then begin
+        let y = dst e in
+        if index.(y) < 0 then begin
+          strongconnect y;
+          lowlink.(x) <- min lowlink.(x) lowlink.(y)
         end
-        else if Tx_tbl.find_opt on_stack w = Some true then
-          Tx_tbl.replace lowlink v
-            (min (Tx_tbl.find lowlink v) (Tx_tbl.find index w)))
-      (succ v);
-    if Tx_tbl.find lowlink v = Tx_tbl.find index v then begin
+        else if on_stack.(y) then lowlink.(x) <- min lowlink.(x) index.(y)
+      end
+    done;
+    if lowlink.(x) = index.(x) then begin
       let rec pop acc =
         match !stack with
         | [] -> acc
-        | w :: rest ->
+        | y :: rest ->
             stack := rest;
-            Tx_tbl.replace on_stack w false;
-            if Txid.equal w v then w :: acc else pop (w :: acc)
+            on_stack.(y) <- false;
+            if y = x then y :: acc else pop (y :: acc)
       in
-      out := pop [] :: !out
+      match pop [] with
+      | [ _ ] -> ()
+      | scc -> out := List.sort Int.compare scc :: !out
     end
   in
-  List.iter (fun v -> if not (Tx_tbl.mem index v) then strongconnect v) nodes;
-  !out
+  for x = 0 to v - 1 do
+    if index.(x) < 0 then strongconnect x
+  done;
+  List.sort (List.compare Int.compare) !out
 
 let check history =
   let events = Array.of_list (History.events history) in
@@ -240,19 +243,21 @@ let check history =
   in
   (* Walk the file's writes newest first, exactly mirroring the
      filestore's overlay: live (committed or still-pending) writes shadow
-     older data. Flag every pending non-own write the read observed. *)
+     older data. Flag every pending non-own write the read observed.
+     Writes that miss the read are skipped without touching the range
+     sets, and the walk stops once the read is fully shadowed. *)
   let observe_pending ~at ~reader ~reader_relaxed ~fid ~range wl =
     let owner = Owner.Transaction reader in
-    let remaining = ref (Range_set.of_range range) in
-    List.iter
-      (fun w ->
-        if (not (Range_set.is_empty !remaining)) && w.w_status <> Waborted
-        then begin
-          let cover =
-            Range_set.inter !remaining (Range_set.of_range w.w_range)
-          in
-          if not (Range_set.is_empty cover) then begin
-            remaining := Range_set.diff !remaining cover;
+    let rec walk remaining = function
+      | [] -> ()
+      | w :: older
+        when w.w_status = Waborted || not (Byte_range.overlaps w.w_range range)
+        ->
+          walk remaining older
+      | w :: older ->
+          let cover = Range_set.inter remaining (Range_set.of_range w.w_range) in
+          if Range_set.is_empty cover then walk remaining older
+          else begin
             if w.w_status = Pending && not (Owner.equal w.w_owner owner) then
               dirty :=
                 { d_reader = reader; d_reader_relaxed = reader_relaxed;
@@ -260,10 +265,12 @@ let check history =
                   d_fid = fid;
                   d_range = List.hd (Range_set.ranges cover);
                   d_at = at }
-                :: !dirty
+                :: !dirty;
+            let remaining = Range_set.diff remaining cover in
+            if not (Range_set.is_empty remaining) then walk remaining older
           end
-        end)
-      wl
+    in
+    walk (Range_set.of_range range) wl
   in
   for i = 0 to n - 1 do
     let { Obs.at; site; ev } = events.(i) in
@@ -444,53 +451,105 @@ let check history =
   (* Conflict graph over committed transactions: an edge a -> b for every
      pair of overlapping accesses to the same file, at least one a write,
      with a's access first. An edge is strict unless every generating pair
-     involved a §3.4-relaxed access. *)
-  let edge_tbl : (Edge_key.t, bool ref) Tx_tbl.t = Tx_tbl.create 16 in
+     involved a §3.4-relaxed access.
+
+     Nodes are dense ids 0..v-1 given to the committed txids in Txid
+     order, so id order is txid order. Each edge is stored once, keyed
+     by a*v+b, holding its strict flag. *)
+  let nodes =
+    Tx_tbl.fold
+      (fun txid (o, _) acc -> if o = `Committed then txid :: acc else acc)
+      outcomes []
+    |> List.sort Txid.compare |> Array.of_list
+  in
+  let v = Array.length nodes in
+  let id_of : (Txid.t, int) Tx_tbl.t = Tx_tbl.create (max 16 v) in
+  Array.iteri (fun x txid -> Tx_tbl.replace id_of txid x) nodes;
+  let edge_tbl : bool Int_tbl.t = Int_tbl.create 64 in
+  let add_edge a b strict =
+    let k = (a * v) + b in
+    match Int_tbl.find_opt edge_tbl k with
+    | Some true -> ()
+    | Some false | None -> Int_tbl.replace edge_tbl k strict
+  in
+  (* Per file, a sweep line over the committed accesses in (lo, o_idx)
+     order. The active ops are the earlier ones whose [hi] is past the
+     current [lo]: exactly those overlapping the current op, so each
+     overlapping pair is visited once. *)
   Tx_tbl.iter
     (fun _fid opsr ->
-      let arr = Array.of_list !opsr in
-      Array.sort (fun a b -> compare a.o_idx b.o_idx) arr;
-      let m = Array.length arr in
-      for x = 0 to m - 1 do
-        for y = x + 1 to m - 1 do
-          let a = arr.(x) and b = arr.(y) in
-          if (a.o_write || b.o_write)
-             && (not (Txid.equal a.o_txid b.o_txid))
-             && Byte_range.overlaps a.o_range b.o_range
-             && is_committed a.o_txid && is_committed b.o_txid
-          then begin
-            let strict = (not a.o_relaxed) && not b.o_relaxed in
-            match Tx_tbl.find_opt edge_tbl (a.o_txid, b.o_txid) with
-            | Some s -> s := !s || strict
-            | None -> Tx_tbl.replace edge_tbl (a.o_txid, b.o_txid) (ref strict)
-          end
-        done
-      done)
+      let arr =
+        Array.of_list
+          (List.filter_map
+             (fun o -> Option.map (fun x -> (x, o)) (Tx_tbl.find_opt id_of o.o_txid))
+             !opsr)
+      in
+      Array.sort
+        (fun (_, a) (_, b) ->
+          match Int.compare (Byte_range.lo a.o_range) (Byte_range.lo b.o_range) with
+          | 0 -> Int.compare a.o_idx b.o_idx
+          | c -> c)
+        arr;
+      let active = Array.make (Array.length arr) 0 and live = ref 0 in
+      Array.iteri
+        (fun j (xb, b) ->
+          let lo = Byte_range.lo b.o_range and kept = ref 0 in
+          for k = 0 to !live - 1 do
+            let i = active.(k) in
+            let xa, a = arr.(i) in
+            if Byte_range.hi a.o_range > lo then begin
+              active.(!kept) <- i;
+              incr kept;
+              if (a.o_write || b.o_write) && xa <> xb then begin
+                let strict = (not a.o_relaxed) && not b.o_relaxed in
+                if a.o_idx < b.o_idx then add_edge xa xb strict
+                else add_edge xb xa strict
+              end
+            end
+          done;
+          active.(!kept) <- j;
+          live := !kept + 1)
+        arr)
     ops;
-  let edges = Tx_tbl.fold (fun k _ acc -> k :: acc) edge_tbl [] in
-  let succ_of pred v =
-    Tx_tbl.fold
-      (fun (a, b) s acc -> if Txid.equal a v && pred !s then b :: acc else acc)
-      edge_tbl []
+  (* Each edge packed into one int, 2*(a*v+b) + strict, and the table
+     freed: it and the report's edge list together would set the
+     checker's peak heap. Sorted, the packed edges are node 0's out-edges,
+     then node 1's, ... in (a, b) order: an adjacency array. *)
+  let n_edges = Int_tbl.length edge_tbl in
+  let packed = Array.make n_edges 0 and filled = ref 0 in
+  Int_tbl.iter
+    (fun k s ->
+      packed.(!filled) <- (2 * k) + Bool.to_int s;
+      incr filled)
+    edge_tbl;
+  Int_tbl.reset edge_tbl;
+  Array.sort Int.compare packed;
+  let src e = packed.(e) / 2 / v and dst e = packed.(e) / 2 mod v in
+  let off = Array.make (v + 1) 0 in
+  for e = 0 to n_edges - 1 do
+    off.(src e + 1) <- off.(src e + 1) + 1
+  done;
+  for x = 1 to v do
+    off.(x) <- off.(x) + off.(x - 1)
+  done;
+  let edges = ref [] in
+  for e = n_edges - 1 downto 0 do
+    edges := (nodes.(src e), nodes.(dst e)) :: !edges
+  done;
+  let strict_cycles = cycles ~off ~dst ~follow:(fun e -> packed.(e) land 1 = 1) in
+  let all_cycles = cycles ~off ~dst ~follow:(fun _ -> true) in
+  let cycle c permitted =
+    { violation = Cycle (List.map (Array.get nodes) c); permitted }
   in
-  let cycles_of pred =
-    sccs ~nodes:committed ~succ:(succ_of pred)
-    |> List.filter (fun scc -> List.length scc > 1)
-    |> List.map (List.sort Txid.compare)
-  in
-  let strict_cycles = cycles_of (fun s -> s) in
-  let all_cycles = cycles_of (fun _ -> true) in
   let cycle_violations =
-    List.map (fun c -> { violation = Cycle c; permitted = false })
-      strict_cycles
-    @ (all_cycles
-      |> List.filter (fun c ->
-             not (List.exists (fun s -> List.equal Txid.equal s c) strict_cycles))
-      |> List.map (fun c -> { violation = Cycle c; permitted = true }))
+    List.map (fun c -> cycle c false) strict_cycles
+    @ List.filter_map
+        (fun c -> if List.mem c strict_cycles then None else Some (cycle c true))
+        all_cycles
   in
   { committed; aborted; unresolved;
     reads_checked = !reads_checked;
-    edges;
+    edges = !edges;
     violations =
       dirty_violations @ stale_violations @ List.rev !fenced
       @ List.rev !dup_applies @ cycle_violations }

@@ -79,11 +79,25 @@ type report = {
       (** begun but neither committed nor aborted (e.g. lost in a crash
           without recovery) — excluded from the graph *)
   reads_checked : int;
-  edges : (Txid.t * Txid.t) list;  (** deduplicated conflict edges *)
+  edges : (Txid.t * Txid.t) list;
+      (** deduplicated conflict edges, sorted by [(Txid.compare a,
+          Txid.compare b)]. Their nodes are every txid whose first outcome
+          is a commit, whether or not the history saw its [Begin]. *)
   violations : classified list;
+      (** dirty reads, stale reads, fenced grants and duplicate applies,
+          each kind in history order, then the cycles: the unpermitted ones (every
+          edge strict) and then the permitted-only ones (the cycle needs a
+          §3.4-relaxed edge), each group sorted by [List.compare
+          Txid.compare] over the cycles' sorted members. *)
 }
 
 val check : History.t -> report
+(** One pass over the events, plus one visit per overlapping pair of
+    committed same-file accesses (a sweep line over each file's accesses
+    in [lo] order), plus Tarjan's algorithm over an adjacency array of
+    the V committed transactions and E edges: O(events + overlapping
+    pairs + (V + E) log E). A read also walks the file's earlier writes,
+    newest first, until it is fully shadowed. *)
 
 val ok : report -> bool
 (** No {e unpermitted} violations (permitted §3.4 ones may be present). *)

@@ -76,6 +76,11 @@ case "$lane" in
     x explore --seeds 200 --sites 3 --arrival 120 --records 8 --fault-every 5
     # The checker must still have teeth under open-loop release.
     must_fail explore --seeds 25 --arrival 50 --break-locks
+    # Long histories: 1024 transactions per seed over Zipfian records,
+    # tens of thousands of conflict edges for the checker to build and
+    # search, in both directions.
+    x explore --seeds 4 --sites 3 --txns 1024 --ops 4 --records 512 --arrival 2
+    must_fail explore --seeds 2 --sites 3 --txns 1024 --ops 4 --records 512 --arrival 2 --break-locks
     ;;
   *)
     echo "ci_sweep: unknown lane '$lane'" >&2
