@@ -17,10 +17,10 @@
    can assert the headline ratios: >= 2x fewer coordinator-log forces
    and >= 1.5x fewer per-commit messages than window 0.
 
-   LOCUS_BREAK_BATCH=1 disables all three optimisations at run time
-   (Locus_batch.Flags.break_batch) while leaving the windows configured:
-   the CI gate runs e16 once with the flag set to prove the ratio check
-   actually fires. *)
+   LOCUS_BREAK=batch disables all three optimisations at run time
+   (Mutant.Batch) while leaving the windows configured: the CI gate runs
+   e16 once with the mutant armed to prove the ratio check actually
+   fires. *)
 
 open Harness
 
@@ -134,13 +134,6 @@ let run_once ~window =
   }
 
 let e16 () =
-  (match Sys.getenv_opt "LOCUS_BREAK_BATCH" with
-  | Some ("1" | "true") ->
-    Fmt.pr "!! LOCUS_BREAK_BATCH: batching optimisations disabled@.";
-    Locus_batch.Flags.break_batch := true
-  | Some _ | None -> ());
-  Fun.protect ~finally:(fun () -> Locus_batch.Flags.break_batch := false)
-  @@ fun () ->
   let samples = List.map (fun window -> run_once ~window) windows in
   let per_commit v s =
     if s.commits = 0 then 0. else float_of_int v /. float_of_int s.commits

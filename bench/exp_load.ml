@@ -17,11 +17,10 @@
       [events_per_sec_wall]. That number is machine-dependent — the gate
       (scripts/bench_gate.sh, MIN_WALL_EPS) only enforces a generous
       floor, and CI proves the gate has teeth by re-running under
-      LOCUS_BREAK_LOAD=1, which arms an O(queue-length) scan per
+      LOCUS_BREAK=load, which arms an O(queue-length) scan per
       dispatched event in the engine: virtual results stay byte-identical
       while the wall rate collapses, and the floor must catch it. *)
 
-open Harness
 module Ld = Locus_load
 
 let rates = [ 6.; 12.; 24.; 48. ]
@@ -38,10 +37,6 @@ let run_rate rate =
   (report, Unix.gettimeofday () -. wall0)
 
 let e21 () =
-  if Sys.getenv_opt "LOCUS_BREAK_LOAD" = Some "1" then begin
-    Fmt.pr "!! LOCUS_BREAK_LOAD=1: arming an O(n) scan per dispatched event@.";
-    L.Engine.break_load := true
-  end;
   let runs = List.map (fun r -> (r, run_rate r)) rates in
   Tables.print_table
     ~title:
@@ -118,8 +113,7 @@ let e21 () =
                  ("events_fired", float_of_int total_events);
                  ("wall_s", total_wall);
                  ("events_per_sec_wall", wall_eps);
-                 ( "break_load",
-                   if !L.Engine.break_load then 1. else 0. );
+                 ("break_load", if Mutant.(armed Load) then 1. else 0.);
                ]
              ~label:"engine speed" ~latency_us:0 ())
           with

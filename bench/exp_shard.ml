@@ -11,7 +11,7 @@
    The JSON rows carry the local-hit ratio (local grants over all
    grants, measured phase only) and the migration count, so the perf
    gate can assert that placement actually collapses the round trips —
-   and LOCUS_BREAK_SHARD=1 runs the same bench with the stand-down
+   and LOCUS_BREAK=shard runs the same bench with the stand-down
    fault injected, which must drag the ratio back under the gate's
    floor (the inversion that proves the gate has teeth). *)
 
@@ -111,10 +111,7 @@ let run_once ~policy ~label =
   }
 
 let e18 () =
-  let break = Sys.getenv_opt "LOCUS_BREAK_SHARD" = Some "1" in
-  Locus_shard.Flags.break_shard := break;
-  Fun.protect ~finally:(fun () -> Locus_shard.Flags.break_shard := false)
-  @@ fun () ->
+  let break = Mutant.(armed Shard) in
   let samples =
     [
       run_once ~policy:Policy.Never ~label:"placement off";

@@ -3,7 +3,8 @@
    recorded outcomes).
 
      dune exec bench/main.exe            # run everything
-     dune exec bench/main.exe -- e3 e4   # selected experiments *)
+     dune exec bench/main.exe -- e3 e4   # selected experiments
+     LOCUS_BREAK=batch dune exec bench/main.exe -- e16   # mutant armed *)
 
 let experiments =
   [
@@ -31,6 +32,12 @@ let experiments =
   ]
 
 let () =
+  let mutants =
+    try Mutant.of_env ()
+    with Invalid_argument msg ->
+      Fmt.epr "%s@." msg;
+      exit 2
+  in
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as names) -> names
@@ -39,6 +46,8 @@ let () =
   Fmt.pr
     "Locus transactions reproduction - experiment harness@.\
      (virtual 1985 hardware: 0.5 MIPS CPU, 10 Mb Ethernet, ~25 ms disk)@.";
+  List.iter (fun m -> Fmt.pr "%s@." (Mutant.doc m)) mutants;
+  Mutant.with_armed mutants @@ fun () ->
   List.iter
     (fun name ->
       match List.find_opt (fun (n, _, _) -> n = name) experiments with

@@ -611,55 +611,15 @@ let check_cmd =
       $ arrival_arg)
 
 let explore seed sites txns ops records replicas batch_window fault_every
-    n_seeds break_locks break_repl break_paxos break_shard break_dedup
-    break_health commit paxos_f shards policy net_faults health_window arrival =
+    n_seeds mutants commit paxos_f shards policy net_faults health_window
+    arrival =
   let cfg =
     check_config ~health_window ?arrival sites txns ops records replicas
       batch_window fault_every (commit_of commit paxos_f) shards policy
       net_faults
   in
-  if break_locks then begin
-    Fmt.pr "!! breaking the shared/exclusive compatibility rule (Figure 1)@.";
-    M.test_break_shared_exclusive := true
-  end;
-  if break_repl then begin
-    Fmt.pr
-      "!! breaking commit propagation (secondaries silently stop receiving \
-       updates)@.";
-    Locus_repl.Flags.drop_propagation := true
-  end;
-  if break_paxos then begin
-    Fmt.pr
-      "!! breaking Paxos Commit acceptors (votes acknowledged but never \
-       registered or persisted)@.";
-    Locus_pcommit.Flags.break_paxos := true
-  end;
-  if break_shard then begin
-    Fmt.pr
-      "!! breaking shard migration (old owners keep granting at stale \
-       epochs after handing the role away)@.";
-    Locus_shard.Flags.break_shard := true
-  end;
-  if break_dedup then begin
-    Fmt.pr
-      "!! breaking exactly-once RPC (servers skip the reply cache and \
-       re-run every retried or duplicated request)@.";
-    Locus_net.Flags.break_dedup := true
-  end;
-  if break_health then begin
-    Fmt.pr
-      "!! breaking the health watchdog (threshold rules evaluated never, \
-       alarms raised never)@.";
-    Locus_health.Flags.break_health := true
-  end;
-  Fun.protect ~finally:(fun () ->
-      M.test_break_shared_exclusive := false;
-      Locus_repl.Flags.drop_propagation := false;
-      Locus_pcommit.Flags.break_paxos := false;
-      Locus_shard.Flags.break_shard := false;
-      Locus_net.Flags.break_dedup := false;
-      Locus_health.Flags.break_health := false)
-  @@ fun () ->
+  List.iter (fun m -> Fmt.pr "%s@." (Mutant.doc m)) mutants;
+  Mutant.with_armed mutants @@ fun () ->
   let t0 = Sys.time () in
   let result =
     Ck.Explore.sweep ~config:cfg ~seeds:(Ck.Explore.seeds ~n:n_seeds ~from:seed) ()
@@ -695,62 +655,22 @@ let explore_cmd =
   let n_seeds =
     Arg.(value & opt int 100 & info [ "seeds" ] ~docv:"N" ~doc:"Seeds to sweep.")
   in
-  let break_locks =
+  let mutants =
     Arg.(
-      value & flag
-      & info [ "break-locks" ]
+      value
+      & opt_all (enum (List.map (fun m -> (Mutant.name m, m)) Mutant.all)) []
+      & info [ "break" ] ~docv:"NAME"
           ~doc:
-            "Self-test: break the lock compatibility matrix and verify the \
-             checker catches the resulting violations.")
-  in
-  let break_repl =
-    Arg.(
-      value & flag
-      & info [ "break-repl" ]
-          ~doc:
-            "Self-test: drop commit propagation to secondary copies and \
-             verify the checker flags the resulting stale reads (use with \
-             --replicas >= 2).")
-  in
-  let break_paxos =
-    Arg.(
-      value & flag
-      & info [ "break-paxos" ]
-          ~doc:
-            "Self-test: acceptors acknowledge Paxos Commit votes without \
-             registering or persisting them, so decisions become unlearnable \
-             after a coordinator kill; verify the liveness check flags the \
-             blocked participants (use with --commit paxos).")
-  in
-  let break_shard =
-    Arg.(
-      value & flag
-      & info [ "break-shard" ]
-          ~doc:
-            "Self-test: migrating owners skip the stand-down — they keep \
-             their table and keep granting at the stale epoch after the \
-             role moved; verify the epoch-fence oracle flags the resulting \
-             split-brain grants (use with --shards > 0).")
-  in
-  let break_dedup =
-    Arg.(
-      value & flag
-      & info [ "break-dedup" ]
-          ~doc:
-            "Self-test: servers bypass the exactly-once reply cache, so a \
-             retried or duplicated non-idempotent request re-executes; \
-             verify the duplicate-apply oracle flags the double \
-             applications (use with --net-faults).")
-  in
-  let break_health =
-    Arg.(
-      value & flag
-      & info [ "break-health" ]
-          ~doc:
-            "Self-test: mute the health watchdog (threshold rules never \
-             evaluated, alarms never raised) and verify the alarm-liveness \
-             oracle flags the runs that blocked in-doubt without an alarm \
-             (use with --health and --fault-every).")
+            "Self-test: arm the named mutant (repeatable) and verify the \
+             oracle it targets catches it; the sweep must then fail. \
+             $(b,locks) breaks the Figure-1 matrix; $(b,repl) drops commit \
+             propagation (use with --replicas >= 2); $(b,paxos) makes \
+             acceptors forget votes (use with --commit paxos); $(b,shard) \
+             keeps migrated owners granting at the stale epoch (use with \
+             --shards > 0); $(b,dedup) bypasses the exactly-once reply \
+             cache (use with --net-faults); $(b,health) mutes the watchdog \
+             (use with --health and --fault-every). $(b,batch) and \
+             $(b,load) target the bench perf gate, not the explorer.")
   in
   let health_window =
     Arg.(
@@ -772,8 +692,7 @@ let explore_cmd =
     Term.(
       const explore $ seed_arg $ sites_arg $ txns_arg $ ops_arg $ records_arg
       $ replicas_arg $ batch_window_arg $ fault_every_arg $ n_seeds
-      $ break_locks $ break_repl $ break_paxos $ break_shard $ break_dedup
-      $ break_health $ commit_arg $ paxos_f_arg $ shards_arg
+      $ mutants $ commit_arg $ paxos_f_arg $ shards_arg
       $ migrate_policy_arg $ net_faults_arg $ health_window $ arrival_arg)
 
 (* {1 repl-status} *)

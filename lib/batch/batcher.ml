@@ -19,7 +19,7 @@ let configure t ~site ~window_us =
   t.window_us <- window_us
 
 let window_us t = t.window_us
-let enabled t = t.window_us > 0 && not !Flags.break_batch
+let enabled t = t.window_us > 0 && not Mutant.(armed Batch)
 let reset t = t.cur <- None
 
 (* A batch is joinable only while its window is still open AND its flusher

@@ -29,8 +29,8 @@ val configure : 'item t -> site:int -> window_us:int -> unit
 val window_us : 'item t -> int
 
 val enabled : 'item t -> bool
-(** [window_us > 0] and the {!Flags.break_batch} self-test switch is
-    off. *)
+(** [window_us > 0] and the [Mutant.Batch] self-test mutant is not
+    armed. *)
 
 val submit : 'item t -> flush:('item list -> unit) -> 'item -> unit
 (** Join the open batch, or open a new window whose flusher will call

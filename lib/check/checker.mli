@@ -55,7 +55,7 @@ type violation =
           (highest epoch with [at] ≤ grant time) installed as the fid's
           lock manager. A correct implementation fences every such
           stale-owner grant, so this is never permitted; it fires under
-          [--break-shard], which suppresses the old owner's stand-down. *)
+          [--break shard], which suppresses the old owner's stand-down. *)
   | Dup_apply of {
       client : int;  (** the request's originating site *)
       seq : int;  (** the client-incarnation-local request sequence *)
@@ -67,7 +67,7 @@ type violation =
           rid-tagged request twice within one (client incarnation, server
           incarnation) pair — the reply cache failed to absorb a retry or
           a duplicated wire copy, so a non-idempotent effect was applied
-          twice. Never permitted; it fires under [--break-dedup], which
+          twice. Never permitted; it fires under [--break dedup], which
           bypasses the reply cache. *)
 
 type classified = { violation : violation; permitted : bool }

@@ -134,7 +134,7 @@ let alarm_names hist =
    - {e alarm liveness}: a 2PC seed whose coordinator kill stranded
      participants in-doubt MUST raise [in_doubt_age] — a watchdog that
      sleeps through the one incident it exists for is broken (this is
-     the oracle [--break-health] inverts).
+     the oracle [--break health] inverts).
 
    Returns [(excuse_blocked, violations)]: in the kill-under-2PC lane the
    blocked participants are the scenario, not a bug, so the sweep's

@@ -46,7 +46,7 @@ type config = {
           rotation then adds [Kill_coordinator] even under 2PC — a seed
           whose participants end blocked in-doubt must have raised the
           [in_doubt_age] alarm (blocking itself is then the scenario,
-          not a failure). [--break-health] inverts the second oracle:
+          not a failure). [--break health] inverts the second oracle:
           with the watchdog muted those seeds fail. *)
   arrival : float option;
       (** open-loop arrival rate in transactions/sec: [Some r] generates

@@ -901,7 +901,7 @@ let read_locked env c ~len =
     | None -> false
   in
   if len <= 0 || covered || not (in_transaction env) then read env c ~len
-  else if !Locus_batch.Flags.break_batch then begin
+  else if Mutant.(armed Batch) then begin
     ignore (lock env c ~len ~mode:Mode.Shared ());
     read env c ~len
   end

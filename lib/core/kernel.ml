@@ -592,59 +592,51 @@ let apply_rule2 k table fid ~owner ~range =
       Lock_table.mark_retained table owner ~range
     end
 
-(* Forward declaration: lock waiting triggers deadlock scans. *)
-let deadlock_scan_ref :
-    (cluster -> src:Site.t -> Owner.t list) ref =
-  ref (fun _ ~src:_ -> [])
+(* {1 Abort reasons and the deadlock service (§3.1)} *)
 
-(* Forward declaration: data paths must recall delegated lock authority
-   (§5.2) before consulting local lock tables. *)
-let recall_locks_ref : (t -> File_id.t -> unit) ref = ref (fun _ _ -> ())
+(* Abort-reason taxonomy: first-class counters ([txn.abort.<reason>]), so
+   "why do transactions abort in this workload" is answerable without a
+   span collector installed. *)
+type abort_reason = Deadlock | Orphan | Crash | Degraded_vote | Coordinator_lost | User
 
-let ensure_authority_home k fid =
-  if Hashtbl.mem k.delegations fid then !recall_locks_ref k fid
+let abort_reason_label = function
+  | Deadlock -> "deadlock"
+  | Orphan -> "orphan"
+  | Crash -> "crash"
+  | Degraded_vote -> "degraded_vote"
+  | Coordinator_lost -> "coordinator_lost"
+  | User -> "user"
 
-(* Forward declarations for locus_shard: when dynamic lock placement is
-   on and a fid's lock-manager role currently lives at another site, the
-   data paths below must acquire (and release) locks by message instead
-   of touching local tables. The implementations live in the shard
-   section further down (they need the migration machinery). *)
-let shard_remote_ref : (t -> File_id.t -> bool) ref = ref (fun _ _ -> false)
+let count_abort cl reason =
+  Stats.incr (Engine.stats cl.c_engine) ("txn.abort." ^ abort_reason_label reason)
 
-let shard_ensure_remote_ref :
-    (t ->
-    fid:File_id.t ->
-    owner:Owner.t ->
-    pid:Pid.t ->
-    range:Byte_range.t ->
-    write:bool ->
-    dirty:bool ->
-    unit)
-    ref =
-  ref (fun _ ~fid:_ ~owner:_ ~pid:_ ~range:_ ~write:_ ~dirty:_ -> ())
+(* Forward declaration, the kernel's one: deadlock victims and
+   transactions stranded by lost lock state must be aborted, but
+   [abort_transaction] needs the transaction plumbing defined further
+   down. *)
+let abort_transaction_ref :
+    (cluster -> reason:abort_reason -> src:Site.t -> Txid.t -> unit) ref =
+  ref (fun _ ~reason:_ ~src:_ _ -> ())
 
-let shard_momentary_acquire_ref :
-    (t ->
-    fid:File_id.t ->
-    owner:Owner.t ->
-    pid:Pid.t ->
-    range:Byte_range.t ->
-    write:bool ->
-    Byte_range.t list)
-    ref =
-  ref (fun _ ~fid:_ ~owner:_ ~pid:_ ~range:_ ~write:_ -> [])
+let deadlock_scan cl ~src =
+  Stats.incr (Engine.stats cl.c_engine) "deadlock.scans";
+  let victims =
+    Locus_deadlock.Detector.victims cl.cfg.Config.deadlock_policy (lock_tables cl)
+  in
+  List.iter
+    (fun victim ->
+      Stats.incr (Engine.stats cl.c_engine) "deadlock.victims";
+      Trace.emitf (Engine.trace cl.c_engine) ~at:(Engine.now cl.c_engine)
+        ~cat:Trace.Lock ~site:src "deadlock victim %a" Owner.pp victim;
+      match victim with
+      | Owner.Transaction txid ->
+        !abort_transaction_ref cl ~reason:Deadlock ~src txid
+      | Owner.Process _ ->
+        List.iter (fun t -> Lock_table.cancel_owner t victim) (lock_tables cl))
+    victims;
+  victims
 
-let shard_release_pieces_ref :
-    (t ->
-    fid:File_id.t ->
-    owner:Owner.t ->
-    pid:Pid.t ->
-    pieces:Byte_range.t list ->
-    unit)
-    ref =
-  ref (fun _ ~fid:_ ~owner:_ ~pid:_ ~pieces:_ -> ())
-
-let shard_claim_home_ref : (t -> File_id.t -> unit) ref = ref (fun _ _ -> ())
+(* {1 Lock requests} *)
 
 let grant_lock k ~fid ~owner ~pid ~mode ~range ~non_transaction ~wait =
   Engine.consume k.engine ~instr:(costs k).Costs.lock_request_instr;
@@ -701,7 +693,7 @@ let grant_lock k ~fid ~owner ~pid ~mode ~range ~non_transaction ~wait =
           (* Blocked suspiciously long: run the wait-for-graph service
              (§3.1). If we were the victim our wait gets cancelled and the
              next round sees it. *)
-          let (_ : Owner.t list) = !deadlock_scan_ref k.cl ~src:k.site in
+          let (_ : Owner.t list) = deadlock_scan k.cl ~src:k.site in
           if rounds >= 40 then begin
             Lock_table.cancel table w;
             `Timeout
@@ -756,16 +748,633 @@ let uncovered_pieces table ~owner ~range ~write =
 
 exception Denied of string
 
+(* {1 Lock-control migration (§5.2)}
+
+   A storage site may temporarily transfer its ability to manage a file's
+   locks to a site whose processes are making heavy use of them. Clients
+   learn the current authority through [R_redirect] replies and a hint
+   map. Authority returns home ("recall") before anything that needs the
+   lock state next to the data: prepare, data access with implicit
+   locking, commit/abort lock release. *)
+
+let lock_authority_hint cl fid = Hashtbl.find_opt cl.lock_authority fid
+let note_lock_authority cl fid s = Hashtbl.replace cl.lock_authority fid s
+
+let marshal_locks (locks : Lock_table.lock list) = Marshal.to_string locks []
+let unmarshal_locks s : Lock_table.lock list = Marshal.from_string s 0
+
+(* Where should this site handle (or send) a lock operation on [fid]? *)
+let lock_route k fid =
+  if Hashtbl.mem k.hosted fid then `Here
+  else if k.site = storage_site k.cl fid then begin
+    match Hashtbl.find_opt k.delegations fid with
+    | Some d -> `Redirect d
+    | None -> `Here
+  end
+  else `Redirect (storage_site k.cl fid)
+
+(* Take lock management back from the delegate. On delegate crash the
+   lock state dies with its volatile tables — exactly like any other
+   volatile lock state lost in a crash; the topology sweep aborts the
+   owning transactions. *)
+let recall_locks k fid =
+  match Hashtbl.find_opt k.delegations fid with
+  | None -> ()
+  | Some d ->
+    let rec go tries =
+      match rpc k.cl ~src:k.site ~dst:d (Msg.Recall_locks { fid }) with
+      | Msg.R_data payload ->
+        Hashtbl.replace k.locks fid (Lock_table.restore fid (unmarshal_locks (Bytes.to_string payload)));
+        Hashtbl.remove k.delegations fid;
+        note_lock_authority k.cl fid k.site;
+        Stats.incr (stats k) "delegation.recalls"
+      | Msg.R_retry when tries < 100 ->
+        Engine.sleep 2_000;
+        go (tries + 1)
+      | _ ->
+        (* Delegate unreachable: authority (and its volatile lock state)
+           is gone. Resume with an empty table. *)
+        Hashtbl.replace k.locks fid (Lock_table.create fid);
+        Hashtbl.remove k.delegations fid;
+        note_lock_authority k.cl fid k.site;
+        Stats.incr (stats k) "delegation.lost"
+    in
+    go 0
+
+let ensure_authority_home k fid =
+  if Hashtbl.mem k.delegations fid then recall_locks k fid
+
+(* Called at the home site on each remote lock request: hand authority to
+   a site that keeps coming back. *)
+let maybe_delegate k fid ~src =
+  let cfg = k.cl.cfg in
+  if cfg.Config.lock_delegation && src <> k.site then begin
+    let streak =
+      match Hashtbl.find_opt k.lock_origins fid with
+      | Some (s, n) when s = src -> n + 1
+      | Some _ | None -> 1
+    in
+    Hashtbl.replace k.lock_origins fid (src, streak);
+    if
+      streak >= cfg.Config.delegation_threshold
+      && not (Hashtbl.mem k.delegations fid)
+    then begin
+      let table = ensure_table k fid in
+      if Lock_table.waiting table = 0 then begin
+        let payload = marshal_locks (Lock_table.locks table) in
+        match rpc k.cl ~src:k.site ~dst:src (Msg.Delegate_locks { fid; payload }) with
+        | Msg.R_ok ->
+          Hashtbl.remove k.locks fid;
+          Hashtbl.replace k.delegations fid src;
+          Hashtbl.remove k.lock_origins fid;
+          note_lock_authority k.cl fid src;
+          tr k Trace.Lock "delegated %a to site%d" File_id.pp fid src;
+          Stats.incr (stats k) "delegation.out"
+        | _ -> ()
+      end
+    end
+  end
+  else if src = k.site then Hashtbl.remove k.lock_origins fid
+
+(* {1 Dynamic lock placement (locus_shard)}
+
+   Scale-out generalization of §5.2: instead of a per-file delegation
+   that always returns home, each file's lock-manager role has a current
+   owner recorded in a sharded directory (authoritative per-shard
+   directory sites, {!Locus_repl.Placement.directory}), and the role
+   migrates toward the site generating the traffic. Every site keeps a
+   stale-tolerant hint cache; a wrong hint costs a redirect (or a retry),
+   never a mis-grant, because ownership changes are epoch CAS operations
+   at the directory and a transfer carrying a stale epoch is fenced by
+   its receiver. The lock table (including retained locks of in-flight
+   transactions) rides the transfer envelope, so 2PC / Paxos Commit
+   survive a mid-transaction handoff: phase 2 releases chase the role to
+   wherever it lives now. *)
+
+let shard_dir_exn cl =
+  match cl.shard_dir with
+  | Some d -> d
+  | None -> invalid_arg "Kernel: dynamic lock placement is not enabled"
+
+(* Epoch-0 owner of a never-claimed fid: the first configured host of its
+   volume — static, so every site derives the same default without
+   consulting anyone. *)
+let shard_default_owner cl fid =
+  match Hashtbl.find_opt cl.vol_hosts fid.File_id.vid with
+  | Some (h :: _) -> h
+  | Some [] | None -> 0
+
+(* Synchronous on purpose: both callers run inside [shard_migrate]'s
+   hand-off window (shard_migrating set, every request bouncing) and the
+   window must not close until the stranded owners are dead — the
+   Shard_handoff handshake tells the new owner "settled" the moment the
+   window lifts, and granting from a fresh table while these
+   transactions still rely on their lost locks breaks 2PL. *)
+let shard_abort_table_owners k table =
+  let owners =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (l : Lock_table.lock) ->
+           match l.Lock_table.owner with
+           | Owner.Transaction txid -> Some txid
+           | Owner.Process _ -> None)
+         (Lock_table.locks table))
+  in
+  List.iter
+    (fun txid -> !abort_transaction_ref k.cl ~reason:Crash ~src:k.site txid)
+    owners
+
+(* Ask the directory who owns the role. [None] when the directory site is
+   unreachable — the caller must bounce, never guess. *)
+let shard_lookup k fid =
+  let cl = k.cl in
+  let dir = shard_dir_exn cl in
+  let default = shard_default_owner cl fid in
+  let ds = Shard_dir.site_of dir fid in
+  if ds = k.site then begin
+    Stats.incr (stats k) "shard.dir_lookups";
+    Some (Shard_dir.lookup dir fid ~default)
+  end
+  else if not (Transport.reachable cl.net k.site ds) then None
+  else
+    match rpc cl ~src:k.site ~dst:ds (Msg.Shard_lookup { fid }) with
+    | Msg.R_owner { owner; epoch; prev } -> Some (owner, epoch, prev)
+    | _ -> None
+
+(* Hand-off handshake (run before adopting an epoch > 0 record from a
+   fresh table): the last claimer may still be mid-transfer, in which
+   case the previous epoch's lock table — and every transaction it
+   protects — is still live somewhere, and granting from an empty table
+   here would let new locks collide with them. Safe to proceed once the
+   claimer reports the hand-off settled (it delivered the envelope, or
+   aborted the stranded owners before standing down), or once it has
+   crashed outright (its volatile table died with it and the crash sweep
+   aborts the owners). A merely unreachable claimer keeps us bouncing:
+   never guess. *)
+let shard_adoptable k fid ~epoch ~prev =
+  epoch = 0 || prev = k.site
+  || (not (Transport.site_up k.cl.net prev))
+  || Transport.reachable k.cl.net k.site prev
+     && (match rpc k.cl ~src:k.site ~dst:prev (Msg.Shard_handoff { fid }) with
+        | Msg.R_int 0 -> true
+        | _ -> false)
+
+(* Install the role here without a transfer: the directory names this
+   site owner (epoch-0 default, or a re-homing) but no envelope ever
+   arrived. Rejected when we already stood down at a later epoch.
+   An epoch > 0 adoption is a real ownership change (a claim happened
+   but its table transfer was lost — e.g. to message drops), so it must
+   be announced like any migration or the epoch-fence oracle would still
+   hold the previous owner responsible for every later grant. [from_site
+   = k.site] marks it as an adoption: no envelope ever arrived. *)
+let shard_adopt k fid ~epoch =
+  let ok =
+    match Hashtbl.find_opt k.shard_epochs fid with
+    | Some e -> epoch >= e
+    | None -> true
+  in
+  if ok then begin
+    let fresh =
+      epoch > 0
+      && ((not (Hashtbl.mem k.shard_owned fid))
+         || (match Hashtbl.find_opt k.shard_epochs fid with
+            | Some e -> epoch > e
+            | None -> true))
+    in
+    Hashtbl.replace k.shard_owned fid ();
+    Hashtbl.replace k.shard_epochs fid epoch;
+    ignore (ensure_table k fid);
+    if fresh then begin
+      Stats.incr (stats k) "shard.adoptions";
+      obs k (Obs.Migrate { fid; from_site = k.site; to_site = k.site; epoch })
+    end
+  end;
+  ok
+
+(* Where should this site handle (or send) a lock operation on [fid]?
+   Trust the local hint first; a stale hint redirects (the fence at the
+   true owner keeps mis-grants impossible), a missing hint asks the
+   directory, an unreachable directory bounces for retry. *)
+let shard_route k fid =
+  (* A transfer in flight froze the table snapshot: admitting operations
+     now would mutate state the destination will never see. Bounce them
+     until the hand-off settles one way or the other. *)
+  if Hashtbl.mem k.shard_migrating fid then `Retry
+  else if Hashtbl.mem k.shard_owned fid then `Here
+  else
+    match Hashtbl.find_opt k.shard_hints fid with
+    | Some s when s <> k.site -> `Redirect s
+    | Some _ | None -> (
+      match shard_lookup k fid with
+      | None -> `Retry
+      | Some (owner, epoch, prev) ->
+        if owner = k.site then begin
+          if shard_adoptable k fid ~epoch ~prev && shard_adopt k fid ~epoch
+          then `Here
+          else `Retry
+        end
+        else begin
+          Hashtbl.replace k.shard_hints fid owner;
+          `Redirect owner
+        end)
+
+let note_migrated k fid ~from_site ~epoch =
+  Stats.incr (stats k) "shard.migrations";
+  obs k (Obs.Migrate { fid; from_site; to_site = k.site; epoch });
+  match k.cl.otracer with
+  | None -> ()
+  | Some otr ->
+    Otrace.note_migration otr
+      ~fid:(Fmt.str "%a" File_id.pp fid)
+      ~from_site ~to_site:k.site ~epoch
+
+(* Move the role (and its lock table) from this site to [dst]: mark the
+   transfer, win the epoch CAS at the directory, ship the table, stand
+   down. Any failure leaves the directory authoritative — we either keep
+   serving (claim never happened) or cede ownership (claim happened but
+   the transfer was lost; stranded transactions are aborted). *)
+let shard_migrate k fid ~dst =
+  let cl = k.cl in
+  if
+    Hashtbl.mem k.shard_owned fid
+    && (not (Hashtbl.mem k.shard_migrating fid))
+    && dst <> k.site
+    && Transport.reachable cl.net k.site dst
+  then begin
+    let table = ensure_table k fid in
+    if Lock_table.transferable table then begin
+      Hashtbl.replace k.shard_migrating fid ();
+      Fun.protect ~finally:(fun () -> Hashtbl.remove k.shard_migrating fid)
+      @@ fun () ->
+      with_span k ~cat:"shard" "shard.migrate"
+        ~args:
+          [ ("fid", Fmt.str "%a" File_id.pp fid); ("dst", string_of_int dst) ]
+      @@ fun () ->
+      let cur_epoch =
+        match Hashtbl.find_opt k.shard_epochs fid with Some e -> e | None -> 0
+      in
+      let dir = shard_dir_exn cl in
+      let default = shard_default_owner cl fid in
+      let ds = Shard_dir.site_of dir fid in
+      let claim =
+        if ds = k.site then begin
+          Stats.incr (stats k) "shard.dir_claims";
+          match
+            Shard_dir.claim dir fid ~default ~new_owner:dst
+              ~from_epoch:cur_epoch ~claimer:k.site
+          with
+          | Ok e -> `Won e
+          | Error (o, e) ->
+            Stats.incr (stats k) "shard.dir_claim_stale";
+            `Lost (o, e)
+        end
+        else
+          match
+            rpc cl ~src:k.site ~dst:ds
+              (Msg.Shard_claim { fid; new_owner = dst; from_epoch = cur_epoch })
+          with
+          | Msg.R_owner { owner; epoch; prev = _ } ->
+            if owner = dst && epoch = cur_epoch + 1 then `Won epoch
+            else `Lost (owner, epoch)
+          | _ -> `Unreachable
+      in
+      match claim with
+      | `Unreachable -> ()  (* directory partitioned away: keep serving *)
+      | `Lost (owner, epoch) ->
+        (* Fenced: someone re-homed the role out from under us (our copy
+           of the lock state is dead). Drop it and abort its owners. *)
+        Stats.incr (stats k) "shard.fenced";
+        Hashtbl.remove k.shard_owned fid;
+        Hashtbl.remove k.locks fid;
+        Hashtbl.remove k.shard_origins fid;
+        Hashtbl.replace k.shard_epochs fid epoch;
+        Hashtbl.replace k.shard_hints fid owner;
+        shard_abort_table_owners k table
+      | `Won new_epoch -> (
+        let payload = marshal_locks (Lock_table.locks table) in
+        match
+          rpc_retry_p cl cl.cfg.Config.retries.Config.shard
+            ~retry_if:(fun r -> r = Msg.R_retry)
+            ~src:k.site ~dst
+            (envelope cl (Msg.Shard_migrate { fid; epoch = new_epoch; payload }))
+        with
+        | Ok Msg.R_ok ->
+          tr k Trace.Lock "shard migrate %a -> site%d e%d" File_id.pp fid dst
+            new_epoch;
+          Hashtbl.remove k.shard_origins fid;
+          if Mutant.(armed Shard) then
+            (* Self-test fault: fail to stand down — keep the table and
+               keep granting at the stale epoch, and wipe the global
+               client hint so traffic still reaches us. The epoch-fence
+               oracle must flag the resulting split-brain grants. *)
+            Hashtbl.remove cl.lock_authority fid
+          else begin
+            Hashtbl.remove k.shard_owned fid;
+            Hashtbl.remove k.locks fid;
+            Hashtbl.replace k.shard_epochs fid new_epoch;
+            Hashtbl.replace k.shard_hints fid dst;
+            note_lock_authority cl fid dst
+          end
+        | Ok _ | Error _ ->
+          (* The directory now names [dst] owner but the table never
+             arrived: cede ownership (the fence makes our copy unusable)
+             and abort the transactions whose lock state was lost — same
+             failure mode as a delegate crash in §5.2. *)
+          Stats.incr (stats k) "shard.transfer_lost";
+          Hashtbl.remove k.shard_owned fid;
+          Hashtbl.remove k.locks fid;
+          Hashtbl.remove k.shard_origins fid;
+          Hashtbl.replace k.shard_epochs fid new_epoch;
+          Hashtbl.replace k.shard_hints fid dst;
+          shard_abort_table_owners k table)
+    end
+  end
+
+(* Called at the owner on each lock request: hand the role to a site that
+   keeps coming back (threshold policy on remote-acquisition streaks). *)
+let maybe_shard_migrate k fid ~src =
+  if src = k.site then Hashtbl.remove k.shard_origins fid
+  else begin
+    let streak =
+      match Hashtbl.find_opt k.shard_origins fid with
+      | Some (s, n) when s = src -> n + 1
+      | Some _ | None -> 1
+    in
+    Hashtbl.replace k.shard_origins fid (src, streak);
+    if
+      Shard_policy.decide k.cl.cfg.Config.shard_policy ~streak
+      && not (Hashtbl.mem k.shard_migrating fid)
+    then shard_migrate k fid ~dst:src
+  end
+
+(* Send a lock-control message to the fid's current owner, chasing hints
+   and redirects, falling back to a directory lookup when a hop bounces
+   or is unreachable. *)
+let shard_owner_rpc k fid msg =
+  let cl = k.cl in
+  let refresh dst =
+    Hashtbl.remove k.shard_hints fid;
+    Engine.sleep 2_000;
+    match shard_lookup k fid with
+    | Some (owner, _, _) ->
+      Hashtbl.replace k.shard_hints fid owner;
+      owner
+    | None -> dst
+  in
+  let rec go dst tries =
+    if tries > 24 then Msg.R_err "shard owner unreachable"
+    else begin
+      let reply =
+        if not (Transport.reachable cl.net k.site dst) then `Down
+        else
+          match Transport.rpc cl.net ~src:k.site ~dst (envelope cl msg) with
+          | Ok r -> `R r
+          | Error _ -> `Down
+      in
+      match reply with
+      | `Down | `R Msg.R_retry -> go (refresh dst) (tries + 1)
+      | `R (Msg.R_redirect d) ->
+        Stats.incr (stats k) "shard.forwards";
+        Hashtbl.replace k.shard_hints fid d;
+        go d (tries + 1)
+      | `R r -> r
+    end
+  in
+  let start =
+    match Hashtbl.find_opt k.shard_hints fid with
+    | Some s -> s
+    | None -> shard_default_owner cl fid
+  in
+  go start 0
+
+(* Data-path entry points: when the role lives at another site, locks
+   are acquired (and released) there by message. *)
+
+let shard_remote k fid =
+  if
+    (not (sharded k.cl))
+    || Hashtbl.mem k.shard_owned fid
+       && not (Hashtbl.mem k.shard_migrating fid)
+  then false
+  else
+    let rec go tries =
+      match shard_route k fid with
+      | `Here -> false
+      | `Redirect _ -> true
+      | `Retry when tries < 24 ->
+        Engine.sleep 2_000;
+        go (tries + 1)
+      | `Retry -> raise (Denied "shard directory unreachable")
+    in
+    go 0
+
+let shard_ensure_remote k ~fid ~owner ~pid ~range ~write ~dirty =
+  match
+    shard_owner_rpc k fid
+      (Msg.Ensure_lock { fid; owner; pid; range; write; momentary = false; dirty })
+  with
+  | Msg.R_ok -> ()
+  | Msg.R_err e -> raise (Denied e)
+  | _ -> raise (Denied "shard lock acquisition failed")
+
+let shard_momentary_acquire k ~fid ~owner ~pid ~range ~write =
+  match
+    shard_owner_rpc k fid
+      (Msg.Ensure_lock
+         { fid; owner; pid; range; write; momentary = true; dirty = false })
+  with
+  | Msg.R_pieces pieces -> pieces
+  | Msg.R_err e -> raise (Denied e)
+  | _ -> raise (Denied "shard momentary lock failed")
+
+let shard_release_pieces k ~fid ~owner ~pid ~pieces =
+  if pieces <> [] then
+    ignore
+      (shard_owner_rpc k fid
+         (Msg.Release_locks { fid; owner; pid; ranges = Some pieces; cancel = false }))
+
+(* Phase-2 lock release under dynamic placement: drop the transaction's
+   (or exiting process's) locks at whatever site holds the role now. *)
+let shard_release k fid ~owner ~cancel =
+  if
+    Hashtbl.mem k.shard_owned fid
+    && not (Hashtbl.mem k.shard_migrating fid)
+  then begin
+    match lock_table k fid with
+    | Some table ->
+      if cancel then Lock_table.cancel_owner table owner;
+      Lock_table.release_owner table owner
+    | None -> ()
+  end
+  else
+    ignore
+      (shard_owner_rpc k fid
+         (Msg.Release_locks
+            {
+              fid;
+              owner;
+              pid = Pid.make ~origin:k.site ~num:0;
+              ranges = None;
+              cancel;
+            }))
+
+(* Re-home the role to this site directly through the directory — only
+   legitimate when the recorded owner is {e crashed} (its volatile lock
+   state is gone); a merely partitioned owner keeps the role, so both
+   sides of the split agree who grants. Transactions whose uncommitted
+   bytes were protected by the lost table are aborted. *)
+let shard_rehome k fid =
+  let cl = k.cl in
+  match shard_lookup k fid with
+  | None -> false
+  | Some (owner, epoch, prev) ->
+    if owner = k.site then
+      shard_adoptable k fid ~epoch ~prev && shard_adopt k fid ~epoch
+    else if Transport.site_up cl.net owner then false
+    else begin
+      let dir = shard_dir_exn cl in
+      let default = shard_default_owner cl fid in
+      let ds = Shard_dir.site_of dir fid in
+      let claim =
+        if ds = k.site then begin
+          Stats.incr (stats k) "shard.dir_claims";
+          match
+            Shard_dir.claim dir fid ~default ~new_owner:k.site
+              ~from_epoch:epoch ~claimer:k.site
+          with
+          | Ok e -> Some e
+          | Error _ ->
+            Stats.incr (stats k) "shard.dir_claim_stale";
+            None
+        end
+        else
+          match
+            rpc cl ~src:k.site ~dst:ds
+              (Msg.Shard_claim { fid; new_owner = k.site; from_epoch = epoch })
+          with
+          | Msg.R_owner { owner = o; epoch = e; prev = _ }
+            when o = k.site && e = epoch + 1
+            ->
+            Some e
+          | _ -> None
+      in
+      match claim with
+      | None -> false
+      | Some new_epoch ->
+        Hashtbl.replace k.locks fid (Lock_table.create fid);
+        Hashtbl.replace k.shard_owned fid ();
+        Hashtbl.replace k.shard_epochs fid new_epoch;
+        Hashtbl.replace k.shard_hints fid k.site;
+        note_lock_authority cl fid k.site;
+        Stats.incr (stats k) "shard.rehomed";
+        note_migrated k fid ~from_site:owner ~epoch:new_epoch;
+        (* The lost table may have protected in-doubt bytes stored here:
+           abort their transactions before anyone locks over them. *)
+        if Filestore.is_open k.store fid || Filestore.file_exists k.store fid
+        then begin
+          let span = Byte_range.of_pos_len ~pos:0 ~len:max_int in
+          List.iter
+            (fun o ->
+              match o with
+              | Owner.Transaction txid
+                when not (Participant.is_prepared k.participant txid) ->
+                ignore
+                  (Engine.spawn ~name:"shard-abort" ~site:k.site k.engine
+                     (fun () ->
+                       !abort_transaction_ref k.cl ~reason:Crash ~src:k.site
+                         txid))
+              | Owner.Transaction _ | Owner.Process _ -> ())
+            (Filestore.uncommitted_overlapping k.store fid span)
+        end;
+        true
+    end
+
+(* Pull the role to this site (cooperative transfer via the current
+   owner; direct re-home when that owner crashed). Used by the EOF path
+   and by recovery before relocking prepared intentions. *)
+let shard_claim_home k fid =
+  let home () =
+    Hashtbl.mem k.shard_owned fid
+    && not (Hashtbl.mem k.shard_migrating fid)
+  in
+  if sharded k.cl && not (home ()) then begin
+    let cl = k.cl in
+    let rec go tries =
+      if home () then ()
+      else if tries > 24 then raise (Denied "shard claim-home failed")
+      else
+        match shard_route k fid with
+        | `Here -> ()
+        | `Retry ->
+          Engine.sleep 2_000;
+          go (tries + 1)
+        | `Redirect d ->
+          if Transport.reachable cl.net k.site d then begin
+            (match
+               rpc cl ~src:k.site ~dst:d
+                 (Msg.Shard_migrate_req { fid; dst = k.site })
+             with
+            | Msg.R_ok -> ()
+            | _ -> Hashtbl.remove k.shard_hints fid);
+            if not (home ()) then begin
+              Engine.sleep 2_000;
+              go (tries + 1)
+            end
+          end
+          else if not (Transport.site_up cl.net d) then begin
+            if not (shard_rehome k fid) then begin
+              Engine.sleep 2_000;
+              go (tries + 1)
+            end
+          end
+          else begin
+            (* Partitioned (not crashed) owner: wait it out. *)
+            Engine.sleep 2_000;
+            Hashtbl.remove k.shard_hints fid;
+            go (tries + 1)
+          end
+    in
+    go 0
+  end
+
+(* Drive a migration from outside the kernel (fault injection, locusctl):
+   ask the current owner, wherever it is, to hand the role to [dst]. *)
+let force_migrate cl ~src fid ~dst =
+  if sharded cl then begin
+    let k = kernel cl src in
+    ignore (shard_owner_rpc k fid (Msg.Shard_migrate_req { fid; dst }))
+  end
+
+(* Introspection (locusctl shard-status, tests). *)
+let shard_owner cl fid =
+  match cl.shard_dir with
+  | None -> None
+  | Some dir ->
+    let owner, epoch, _ =
+      Shard_dir.lookup dir fid ~default:(shard_default_owner cl fid)
+    in
+    Some (owner, epoch)
+
+let shard_status cl =
+  match cl.shard_dir with
+  | None -> []
+  | Some dir ->
+    List.map
+      (fun (fid, owner, epoch) -> (fid, path_of cl fid, owner, epoch))
+      (Shard_dir.entries dir)
+
+(* {1 Implicit locking on the data paths} *)
+
 (* Conventional Unix access by a non-transaction process: behave as a
    momentary holder of the appropriate Figure-1 mode on each byte range
    not already covered by the process's explicit locks. *)
 let with_momentary k ~fid ~owner ~pid ~range ~write f =
-  if !shard_remote_ref k fid then begin
+  if shard_remote k fid then begin
     (* The lock-manager role lives elsewhere: hold the uncovered pieces
        there for the duration of the access. *)
-    let pieces = !shard_momentary_acquire_ref k ~fid ~owner ~pid ~range ~write in
+    let pieces = shard_momentary_acquire k ~fid ~owner ~pid ~range ~write in
     Fun.protect f ~finally:(fun () ->
-        !shard_release_pieces_ref k ~fid ~owner ~pid ~pieces)
+        shard_release_pieces k ~fid ~owner ~pid ~pieces)
   end
   else begin
     let table = ensure_table k fid in
@@ -789,12 +1398,12 @@ let with_momentary k ~fid ~owner ~pid ~range ~write f =
 (* Transaction access: two-phase locks are acquired implicitly at record
    access time when not already held (§3.1). *)
 let ensure_txn_lock k ~fid ~owner ~pid ~range ~write =
-  if !shard_remote_ref k fid then begin
+  if shard_remote k fid then begin
     (* Rule 2 needs the data (here, at the storage site) and the lock
        state (at the current role owner): detect dirty overlap locally,
        tell the owner so it retains the lock, and adopt the bytes here. *)
     let dirty = Filestore.uncommitted_overlapping k.store fid range <> [] in
-    !shard_ensure_remote_ref k ~fid ~owner ~pid ~range ~write ~dirty;
+    shard_ensure_remote k ~fid ~owner ~pid ~range ~write ~dirty;
     if dirty then Filestore.adopt k.store fid ~range ~new_owner:owner
   end
   else begin
@@ -889,7 +1498,7 @@ let ss_lock_append k ~fid ~owner ~pid ~len ~mode ~non_transaction =
   ensure_authority_home k fid;
   (* Atomic EOF-and-lock needs the lock state next to the file size: pull
      the migrated role home first (no-op when placement is static). *)
-  !shard_claim_home_ref k fid;
+  shard_claim_home k fid;
   let rec attempt tries =
     if tries > 100 then raise (Denied "lock_append: livelock")
     else begin
@@ -947,7 +1556,7 @@ let replica_snapshot k fid =
    volume (§5.2 commit propagation from the primary update site).
    [indices] narrows the payload to the pages one commit touched; without
    it a full snapshot is sent. [initial] marks the create-time seeding of
-   the version-1 file, which even the [Flags.drop_propagation] self-test
+   the version-1 file, which even the [Mutant.Repl] self-test
    fault lets through — the simulated breakage is "commits stop reaching
    existing copies", not "the file never replicates at all" (the latter
    would make every secondary read fail over to the primary and hide the
@@ -955,7 +1564,7 @@ let replica_snapshot k fid =
 let propagate_replicas k ?indices ?(initial = false) fid =
   if
     k.cl.cfg.Config.replica_sync
-    && ((not !Flags.drop_propagation) || initial)
+    && ((not Mutant.(armed Repl)) || initial)
     && Filestore.file_exists k.store fid
   then begin
     let others = List.filter (fun s -> s <> k.site) (replica_sites k.cl fid) in
@@ -1177,630 +1786,6 @@ let ss_replica_read k ~fid ~reader ~pid ~pos ~len =
     end
   end
 
-(* {1 Lock-control migration (§5.2)}
-
-   A storage site may temporarily transfer its ability to manage a file's
-   locks to a site whose processes are making heavy use of them. Clients
-   learn the current authority through [R_redirect] replies and a hint
-   map. Authority returns home ("recall") before anything that needs the
-   lock state next to the data: prepare, data access with implicit
-   locking, commit/abort lock release. *)
-
-let lock_authority_hint cl fid = Hashtbl.find_opt cl.lock_authority fid
-let note_lock_authority cl fid s = Hashtbl.replace cl.lock_authority fid s
-
-let marshal_locks (locks : Lock_table.lock list) = Marshal.to_string locks []
-let unmarshal_locks s : Lock_table.lock list = Marshal.from_string s 0
-
-(* Where should this site handle (or send) a lock operation on [fid]? *)
-let lock_route k fid =
-  if Hashtbl.mem k.hosted fid then `Here
-  else if k.site = storage_site k.cl fid then begin
-    match Hashtbl.find_opt k.delegations fid with
-    | Some d -> `Redirect d
-    | None -> `Here
-  end
-  else `Redirect (storage_site k.cl fid)
-
-(* Take lock management back from the delegate. On delegate crash the
-   lock state dies with its volatile tables — exactly like any other
-   volatile lock state lost in a crash; the topology sweep aborts the
-   owning transactions. *)
-let recall_locks k fid =
-  match Hashtbl.find_opt k.delegations fid with
-  | None -> ()
-  | Some d ->
-    let rec go tries =
-      match rpc k.cl ~src:k.site ~dst:d (Msg.Recall_locks { fid }) with
-      | Msg.R_data payload ->
-        Hashtbl.replace k.locks fid (Lock_table.restore fid (unmarshal_locks (Bytes.to_string payload)));
-        Hashtbl.remove k.delegations fid;
-        note_lock_authority k.cl fid k.site;
-        Stats.incr (stats k) "delegation.recalls"
-      | Msg.R_retry when tries < 100 ->
-        Engine.sleep 2_000;
-        go (tries + 1)
-      | _ ->
-        (* Delegate unreachable: authority (and its volatile lock state)
-           is gone. Resume with an empty table. *)
-        Hashtbl.replace k.locks fid (Lock_table.create fid);
-        Hashtbl.remove k.delegations fid;
-        note_lock_authority k.cl fid k.site;
-        Stats.incr (stats k) "delegation.lost"
-    in
-    go 0
-
-let () = recall_locks_ref := recall_locks
-
-(* Called at the home site on each remote lock request: hand authority to
-   a site that keeps coming back. *)
-let maybe_delegate k fid ~src =
-  let cfg = k.cl.cfg in
-  if cfg.Config.lock_delegation && src <> k.site then begin
-    let streak =
-      match Hashtbl.find_opt k.lock_origins fid with
-      | Some (s, n) when s = src -> n + 1
-      | Some _ | None -> 1
-    in
-    Hashtbl.replace k.lock_origins fid (src, streak);
-    if
-      streak >= cfg.Config.delegation_threshold
-      && not (Hashtbl.mem k.delegations fid)
-    then begin
-      let table = ensure_table k fid in
-      if Lock_table.waiting table = 0 then begin
-        let payload = marshal_locks (Lock_table.locks table) in
-        match rpc k.cl ~src:k.site ~dst:src (Msg.Delegate_locks { fid; payload }) with
-        | Msg.R_ok ->
-          Hashtbl.remove k.locks fid;
-          Hashtbl.replace k.delegations fid src;
-          Hashtbl.remove k.lock_origins fid;
-          note_lock_authority k.cl fid src;
-          tr k Trace.Lock "delegated %a to site%d" File_id.pp fid src;
-          Stats.incr (stats k) "delegation.out"
-        | _ -> ()
-      end
-    end
-  end
-  else if src = k.site then Hashtbl.remove k.lock_origins fid
-
-(* {1 Dynamic lock placement (locus_shard)}
-
-   Scale-out generalization of §5.2: instead of a per-file delegation
-   that always returns home, each file's lock-manager role has a current
-   owner recorded in a sharded directory (authoritative per-shard
-   directory sites, {!Locus_repl.Placement.directory}), and the role
-   migrates toward the site generating the traffic. Every site keeps a
-   stale-tolerant hint cache; a wrong hint costs a redirect (or a retry),
-   never a mis-grant, because ownership changes are epoch CAS operations
-   at the directory and a transfer carrying a stale epoch is fenced by
-   its receiver. The lock table (including retained locks of in-flight
-   transactions) rides the transfer envelope, so 2PC / Paxos Commit
-   survive a mid-transaction handoff: phase 2 releases chase the role to
-   wherever it lives now. *)
-
-let shard_dir_exn cl =
-  match cl.shard_dir with
-  | Some d -> d
-  | None -> invalid_arg "Kernel: dynamic lock placement is not enabled"
-
-(* Epoch-0 owner of a never-claimed fid: the first configured host of its
-   volume — static, so every site derives the same default without
-   consulting anyone. *)
-let shard_default_owner cl fid =
-  match Hashtbl.find_opt cl.vol_hosts fid.File_id.vid with
-  | Some (h :: _) -> h
-  | Some [] | None -> 0
-
-(* Forward declaration: losing transferred lock state aborts the owning
-   transactions, but [abort_transaction] is defined further down. *)
-let shard_abort_txn_ref : (cluster -> src:Site.t -> Txid.t -> unit) ref =
-  ref (fun _ ~src:_ _ -> ())
-
-(* Synchronous on purpose: both callers run inside [shard_migrate]'s
-   hand-off window (shard_migrating set, every request bouncing) and the
-   window must not close until the stranded owners are dead — the
-   Shard_handoff handshake tells the new owner "settled" the moment the
-   window lifts, and granting from a fresh table while these
-   transactions still rely on their lost locks breaks 2PL. *)
-let shard_abort_table_owners k table =
-  let owners =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (l : Lock_table.lock) ->
-           match l.Lock_table.owner with
-           | Owner.Transaction txid -> Some txid
-           | Owner.Process _ -> None)
-         (Lock_table.locks table))
-  in
-  List.iter (fun txid -> !shard_abort_txn_ref k.cl ~src:k.site txid) owners
-
-(* Ask the directory who owns the role. [None] when the directory site is
-   unreachable — the caller must bounce, never guess. *)
-let shard_lookup k fid =
-  let cl = k.cl in
-  let dir = shard_dir_exn cl in
-  let default = shard_default_owner cl fid in
-  let ds = Shard_dir.site_of dir fid in
-  if ds = k.site then begin
-    Stats.incr (stats k) "shard.dir_lookups";
-    Some (Shard_dir.lookup dir fid ~default)
-  end
-  else if not (Transport.reachable cl.net k.site ds) then None
-  else
-    match rpc cl ~src:k.site ~dst:ds (Msg.Shard_lookup { fid }) with
-    | Msg.R_owner { owner; epoch; prev } -> Some (owner, epoch, prev)
-    | _ -> None
-
-(* Hand-off handshake (run before adopting an epoch > 0 record from a
-   fresh table): the last claimer may still be mid-transfer, in which
-   case the previous epoch's lock table — and every transaction it
-   protects — is still live somewhere, and granting from an empty table
-   here would let new locks collide with them. Safe to proceed once the
-   claimer reports the hand-off settled (it delivered the envelope, or
-   aborted the stranded owners before standing down), or once it has
-   crashed outright (its volatile table died with it and the crash sweep
-   aborts the owners). A merely unreachable claimer keeps us bouncing:
-   never guess. *)
-let shard_adoptable k fid ~epoch ~prev =
-  epoch = 0 || prev = k.site
-  || (not (Transport.site_up k.cl.net prev))
-  || Transport.reachable k.cl.net k.site prev
-     && (match rpc k.cl ~src:k.site ~dst:prev (Msg.Shard_handoff { fid }) with
-        | Msg.R_int 0 -> true
-        | _ -> false)
-
-(* Install the role here without a transfer: the directory names this
-   site owner (epoch-0 default, or a re-homing) but no envelope ever
-   arrived. Rejected when we already stood down at a later epoch.
-   An epoch > 0 adoption is a real ownership change (a claim happened
-   but its table transfer was lost — e.g. to message drops), so it must
-   be announced like any migration or the epoch-fence oracle would still
-   hold the previous owner responsible for every later grant. [from_site
-   = k.site] marks it as an adoption: no envelope ever arrived. *)
-let shard_adopt k fid ~epoch =
-  let ok =
-    match Hashtbl.find_opt k.shard_epochs fid with
-    | Some e -> epoch >= e
-    | None -> true
-  in
-  if ok then begin
-    let fresh =
-      epoch > 0
-      && ((not (Hashtbl.mem k.shard_owned fid))
-         || (match Hashtbl.find_opt k.shard_epochs fid with
-            | Some e -> epoch > e
-            | None -> true))
-    in
-    Hashtbl.replace k.shard_owned fid ();
-    Hashtbl.replace k.shard_epochs fid epoch;
-    ignore (ensure_table k fid);
-    if fresh then begin
-      Stats.incr (stats k) "shard.adoptions";
-      obs k (Obs.Migrate { fid; from_site = k.site; to_site = k.site; epoch })
-    end
-  end;
-  ok
-
-(* Where should this site handle (or send) a lock operation on [fid]?
-   Trust the local hint first; a stale hint redirects (the fence at the
-   true owner keeps mis-grants impossible), a missing hint asks the
-   directory, an unreachable directory bounces for retry. *)
-let shard_route k fid =
-  (* A transfer in flight froze the table snapshot: admitting operations
-     now would mutate state the destination will never see. Bounce them
-     until the hand-off settles one way or the other. *)
-  if Hashtbl.mem k.shard_migrating fid then `Retry
-  else if Hashtbl.mem k.shard_owned fid then `Here
-  else
-    match Hashtbl.find_opt k.shard_hints fid with
-    | Some s when s <> k.site -> `Redirect s
-    | Some _ | None -> (
-      match shard_lookup k fid with
-      | None -> `Retry
-      | Some (owner, epoch, prev) ->
-        if owner = k.site then begin
-          if shard_adoptable k fid ~epoch ~prev && shard_adopt k fid ~epoch
-          then `Here
-          else `Retry
-        end
-        else begin
-          Hashtbl.replace k.shard_hints fid owner;
-          `Redirect owner
-        end)
-
-let note_migrated k fid ~from_site ~epoch =
-  Stats.incr (stats k) "shard.migrations";
-  obs k (Obs.Migrate { fid; from_site; to_site = k.site; epoch });
-  match k.cl.otracer with
-  | None -> ()
-  | Some otr ->
-    Otrace.note_migration otr
-      ~fid:(Fmt.str "%a" File_id.pp fid)
-      ~from_site ~to_site:k.site ~epoch
-
-(* Move the role (and its lock table) from this site to [dst]: mark the
-   transfer, win the epoch CAS at the directory, ship the table, stand
-   down. Any failure leaves the directory authoritative — we either keep
-   serving (claim never happened) or cede ownership (claim happened but
-   the transfer was lost; stranded transactions are aborted). *)
-let shard_migrate k fid ~dst =
-  let cl = k.cl in
-  if
-    Hashtbl.mem k.shard_owned fid
-    && (not (Hashtbl.mem k.shard_migrating fid))
-    && dst <> k.site
-    && Transport.reachable cl.net k.site dst
-  then begin
-    let table = ensure_table k fid in
-    if Lock_table.transferable table then begin
-      Hashtbl.replace k.shard_migrating fid ();
-      Fun.protect ~finally:(fun () -> Hashtbl.remove k.shard_migrating fid)
-      @@ fun () ->
-      with_span k ~cat:"shard" "shard.migrate"
-        ~args:
-          [ ("fid", Fmt.str "%a" File_id.pp fid); ("dst", string_of_int dst) ]
-      @@ fun () ->
-      let cur_epoch =
-        match Hashtbl.find_opt k.shard_epochs fid with Some e -> e | None -> 0
-      in
-      let dir = shard_dir_exn cl in
-      let default = shard_default_owner cl fid in
-      let ds = Shard_dir.site_of dir fid in
-      let claim =
-        if ds = k.site then begin
-          Stats.incr (stats k) "shard.dir_claims";
-          match
-            Shard_dir.claim dir fid ~default ~new_owner:dst
-              ~from_epoch:cur_epoch ~claimer:k.site
-          with
-          | Ok e -> `Won e
-          | Error (o, e) ->
-            Stats.incr (stats k) "shard.dir_claim_stale";
-            `Lost (o, e)
-        end
-        else
-          match
-            rpc cl ~src:k.site ~dst:ds
-              (Msg.Shard_claim { fid; new_owner = dst; from_epoch = cur_epoch })
-          with
-          | Msg.R_owner { owner; epoch; prev = _ } ->
-            if owner = dst && epoch = cur_epoch + 1 then `Won epoch
-            else `Lost (owner, epoch)
-          | _ -> `Unreachable
-      in
-      match claim with
-      | `Unreachable -> ()  (* directory partitioned away: keep serving *)
-      | `Lost (owner, epoch) ->
-        (* Fenced: someone re-homed the role out from under us (our copy
-           of the lock state is dead). Drop it and abort its owners. *)
-        Stats.incr (stats k) "shard.fenced";
-        Hashtbl.remove k.shard_owned fid;
-        Hashtbl.remove k.locks fid;
-        Hashtbl.remove k.shard_origins fid;
-        Hashtbl.replace k.shard_epochs fid epoch;
-        Hashtbl.replace k.shard_hints fid owner;
-        shard_abort_table_owners k table
-      | `Won new_epoch -> (
-        let payload = marshal_locks (Lock_table.locks table) in
-        match
-          rpc_retry_p cl cl.cfg.Config.retries.Config.shard
-            ~retry_if:(fun r -> r = Msg.R_retry)
-            ~src:k.site ~dst
-            (envelope cl (Msg.Shard_migrate { fid; epoch = new_epoch; payload }))
-        with
-        | Ok Msg.R_ok ->
-          tr k Trace.Lock "shard migrate %a -> site%d e%d" File_id.pp fid dst
-            new_epoch;
-          Hashtbl.remove k.shard_origins fid;
-          if !Locus_shard.Flags.break_shard then
-            (* Self-test fault: fail to stand down — keep the table and
-               keep granting at the stale epoch, and wipe the global
-               client hint so traffic still reaches us. The epoch-fence
-               oracle must flag the resulting split-brain grants. *)
-            Hashtbl.remove cl.lock_authority fid
-          else begin
-            Hashtbl.remove k.shard_owned fid;
-            Hashtbl.remove k.locks fid;
-            Hashtbl.replace k.shard_epochs fid new_epoch;
-            Hashtbl.replace k.shard_hints fid dst;
-            note_lock_authority cl fid dst
-          end
-        | Ok _ | Error _ ->
-          (* The directory now names [dst] owner but the table never
-             arrived: cede ownership (the fence makes our copy unusable)
-             and abort the transactions whose lock state was lost — same
-             failure mode as a delegate crash in §5.2. *)
-          Stats.incr (stats k) "shard.transfer_lost";
-          Hashtbl.remove k.shard_owned fid;
-          Hashtbl.remove k.locks fid;
-          Hashtbl.remove k.shard_origins fid;
-          Hashtbl.replace k.shard_epochs fid new_epoch;
-          Hashtbl.replace k.shard_hints fid dst;
-          shard_abort_table_owners k table)
-    end
-  end
-
-(* Called at the owner on each lock request: hand the role to a site that
-   keeps coming back (threshold policy on remote-acquisition streaks). *)
-let maybe_shard_migrate k fid ~src =
-  if src = k.site then Hashtbl.remove k.shard_origins fid
-  else begin
-    let streak =
-      match Hashtbl.find_opt k.shard_origins fid with
-      | Some (s, n) when s = src -> n + 1
-      | Some _ | None -> 1
-    in
-    Hashtbl.replace k.shard_origins fid (src, streak);
-    if
-      Shard_policy.decide k.cl.cfg.Config.shard_policy ~streak
-      && not (Hashtbl.mem k.shard_migrating fid)
-    then shard_migrate k fid ~dst:src
-  end
-
-(* Send a lock-control message to the fid's current owner, chasing hints
-   and redirects, falling back to a directory lookup when a hop bounces
-   or is unreachable. *)
-let shard_owner_rpc k fid msg =
-  let cl = k.cl in
-  let refresh dst =
-    Hashtbl.remove k.shard_hints fid;
-    Engine.sleep 2_000;
-    match shard_lookup k fid with
-    | Some (owner, _, _) ->
-      Hashtbl.replace k.shard_hints fid owner;
-      owner
-    | None -> dst
-  in
-  let rec go dst tries =
-    if tries > 24 then Msg.R_err "shard owner unreachable"
-    else begin
-      let reply =
-        if not (Transport.reachable cl.net k.site dst) then `Down
-        else
-          match Transport.rpc cl.net ~src:k.site ~dst (envelope cl msg) with
-          | Ok r -> `R r
-          | Error _ -> `Down
-      in
-      match reply with
-      | `Down | `R Msg.R_retry -> go (refresh dst) (tries + 1)
-      | `R (Msg.R_redirect d) ->
-        Stats.incr (stats k) "shard.forwards";
-        Hashtbl.replace k.shard_hints fid d;
-        go d (tries + 1)
-      | `R r -> r
-    end
-  in
-  let start =
-    match Hashtbl.find_opt k.shard_hints fid with
-    | Some s -> s
-    | None -> shard_default_owner cl fid
-  in
-  go start 0
-
-(* Data-path hook bodies (see the forward declarations above). *)
-
-let shard_remote k fid =
-  if
-    (not (sharded k.cl))
-    || Hashtbl.mem k.shard_owned fid
-       && not (Hashtbl.mem k.shard_migrating fid)
-  then false
-  else
-    let rec go tries =
-      match shard_route k fid with
-      | `Here -> false
-      | `Redirect _ -> true
-      | `Retry when tries < 24 ->
-        Engine.sleep 2_000;
-        go (tries + 1)
-      | `Retry -> raise (Denied "shard directory unreachable")
-    in
-    go 0
-
-let () = shard_remote_ref := shard_remote
-
-let () =
-  shard_ensure_remote_ref :=
-    fun k ~fid ~owner ~pid ~range ~write ~dirty ->
-      match
-        shard_owner_rpc k fid
-          (Msg.Ensure_lock { fid; owner; pid; range; write; momentary = false; dirty })
-      with
-      | Msg.R_ok -> ()
-      | Msg.R_err e -> raise (Denied e)
-      | _ -> raise (Denied "shard lock acquisition failed")
-
-let () =
-  shard_momentary_acquire_ref :=
-    fun k ~fid ~owner ~pid ~range ~write ->
-      match
-        shard_owner_rpc k fid
-          (Msg.Ensure_lock
-             { fid; owner; pid; range; write; momentary = true; dirty = false })
-      with
-      | Msg.R_pieces pieces -> pieces
-      | Msg.R_err e -> raise (Denied e)
-      | _ -> raise (Denied "shard momentary lock failed")
-
-let () =
-  shard_release_pieces_ref :=
-    fun k ~fid ~owner ~pid ~pieces ->
-      if pieces <> [] then
-        ignore
-          (shard_owner_rpc k fid
-             (Msg.Release_locks { fid; owner; pid; ranges = Some pieces; cancel = false }))
-
-(* Phase-2 lock release under dynamic placement: drop the transaction's
-   (or exiting process's) locks at whatever site holds the role now. *)
-let shard_release k fid ~owner ~cancel =
-  if
-    Hashtbl.mem k.shard_owned fid
-    && not (Hashtbl.mem k.shard_migrating fid)
-  then begin
-    match lock_table k fid with
-    | Some table ->
-      if cancel then Lock_table.cancel_owner table owner;
-      Lock_table.release_owner table owner
-    | None -> ()
-  end
-  else
-    ignore
-      (shard_owner_rpc k fid
-         (Msg.Release_locks
-            {
-              fid;
-              owner;
-              pid = Pid.make ~origin:k.site ~num:0;
-              ranges = None;
-              cancel;
-            }))
-
-(* Re-home the role to this site directly through the directory — only
-   legitimate when the recorded owner is {e crashed} (its volatile lock
-   state is gone); a merely partitioned owner keeps the role, so both
-   sides of the split agree who grants. Transactions whose uncommitted
-   bytes were protected by the lost table are aborted. *)
-let shard_rehome k fid =
-  let cl = k.cl in
-  match shard_lookup k fid with
-  | None -> false
-  | Some (owner, epoch, prev) ->
-    if owner = k.site then
-      shard_adoptable k fid ~epoch ~prev && shard_adopt k fid ~epoch
-    else if Transport.site_up cl.net owner then false
-    else begin
-      let dir = shard_dir_exn cl in
-      let default = shard_default_owner cl fid in
-      let ds = Shard_dir.site_of dir fid in
-      let claim =
-        if ds = k.site then begin
-          Stats.incr (stats k) "shard.dir_claims";
-          match
-            Shard_dir.claim dir fid ~default ~new_owner:k.site
-              ~from_epoch:epoch ~claimer:k.site
-          with
-          | Ok e -> Some e
-          | Error _ ->
-            Stats.incr (stats k) "shard.dir_claim_stale";
-            None
-        end
-        else
-          match
-            rpc cl ~src:k.site ~dst:ds
-              (Msg.Shard_claim { fid; new_owner = k.site; from_epoch = epoch })
-          with
-          | Msg.R_owner { owner = o; epoch = e; prev = _ }
-            when o = k.site && e = epoch + 1
-            ->
-            Some e
-          | _ -> None
-      in
-      match claim with
-      | None -> false
-      | Some new_epoch ->
-        Hashtbl.replace k.locks fid (Lock_table.create fid);
-        Hashtbl.replace k.shard_owned fid ();
-        Hashtbl.replace k.shard_epochs fid new_epoch;
-        Hashtbl.replace k.shard_hints fid k.site;
-        note_lock_authority cl fid k.site;
-        Stats.incr (stats k) "shard.rehomed";
-        note_migrated k fid ~from_site:owner ~epoch:new_epoch;
-        (* The lost table may have protected in-doubt bytes stored here:
-           abort their transactions before anyone locks over them. *)
-        if Filestore.is_open k.store fid || Filestore.file_exists k.store fid
-        then begin
-          let span = Byte_range.of_pos_len ~pos:0 ~len:max_int in
-          List.iter
-            (fun o ->
-              match o with
-              | Owner.Transaction txid
-                when not (Participant.is_prepared k.participant txid) ->
-                ignore
-                  (Engine.spawn ~name:"shard-abort" ~site:k.site k.engine
-                     (fun () -> !shard_abort_txn_ref k.cl ~src:k.site txid))
-              | Owner.Transaction _ | Owner.Process _ -> ())
-            (Filestore.uncommitted_overlapping k.store fid span)
-        end;
-        true
-    end
-
-(* Pull the role to this site (cooperative transfer via the current
-   owner; direct re-home when that owner crashed). Used by the EOF path
-   and by recovery before relocking prepared intentions. *)
-let shard_claim_home k fid =
-  let home () =
-    Hashtbl.mem k.shard_owned fid
-    && not (Hashtbl.mem k.shard_migrating fid)
-  in
-  if sharded k.cl && not (home ()) then begin
-    let cl = k.cl in
-    let rec go tries =
-      if home () then ()
-      else if tries > 24 then raise (Denied "shard claim-home failed")
-      else
-        match shard_route k fid with
-        | `Here -> ()
-        | `Retry ->
-          Engine.sleep 2_000;
-          go (tries + 1)
-        | `Redirect d ->
-          if Transport.reachable cl.net k.site d then begin
-            (match
-               rpc cl ~src:k.site ~dst:d
-                 (Msg.Shard_migrate_req { fid; dst = k.site })
-             with
-            | Msg.R_ok -> ()
-            | _ -> Hashtbl.remove k.shard_hints fid);
-            if not (home ()) then begin
-              Engine.sleep 2_000;
-              go (tries + 1)
-            end
-          end
-          else if not (Transport.site_up cl.net d) then begin
-            if not (shard_rehome k fid) then begin
-              Engine.sleep 2_000;
-              go (tries + 1)
-            end
-          end
-          else begin
-            (* Partitioned (not crashed) owner: wait it out. *)
-            Engine.sleep 2_000;
-            Hashtbl.remove k.shard_hints fid;
-            go (tries + 1)
-          end
-    in
-    go 0
-  end
-
-let () = shard_claim_home_ref := shard_claim_home
-
-(* Drive a migration from outside the kernel (fault injection, locusctl):
-   ask the current owner, wherever it is, to hand the role to [dst]. *)
-let force_migrate cl ~src fid ~dst =
-  if sharded cl then begin
-    let k = kernel cl src in
-    ignore (shard_owner_rpc k fid (Msg.Shard_migrate_req { fid; dst }))
-  end
-
-(* Introspection (locusctl shard-status, tests). *)
-let shard_owner cl fid =
-  match cl.shard_dir with
-  | None -> None
-  | Some dir ->
-    let owner, epoch, _ =
-      Shard_dir.lookup dir fid ~default:(shard_default_owner cl fid)
-    in
-    Some (owner, epoch)
-
-let shard_status cl =
-  match cl.shard_dir with
-  | None -> []
-  | Some dir ->
-    List.map
-      (fun (fid, owner, epoch) -> (fid, path_of cl fid, owner, epoch))
-      (Shard_dir.entries dir)
-
 (* {1 Transaction plumbing} *)
 
 let register_end_wait k txid =
@@ -1921,22 +1906,6 @@ let rec abort_member k ~txid ~pid ~spare =
       Engine.fill k.engine (exit_ivar cl pid) ()
     end
 
-(* Abort-reason taxonomy: first-class counters ([txn.abort.<reason>]), so
-   "why do transactions abort in this workload" is answerable without a
-   span collector installed. *)
-type abort_reason = Deadlock | Orphan | Crash | Degraded_vote | Coordinator_lost | User
-
-let abort_reason_label = function
-  | Deadlock -> "deadlock"
-  | Orphan -> "orphan"
-  | Crash -> "crash"
-  | Degraded_vote -> "degraded_vote"
-  | Coordinator_lost -> "coordinator_lost"
-  | User -> "user"
-
-let count_abort cl reason =
-  Stats.incr (Engine.stats cl.c_engine) ("txn.abort." ^ abort_reason_label reason)
-
 let abort_transaction cl ?spare ?(reason = User) ~src txid =
   Stats.incr (Engine.stats cl.c_engine) "txn.abort_requests";
   count_abort cl reason;
@@ -1963,8 +1932,8 @@ let abort_transaction cl ?spare ?(reason = User) ~src txid =
       observe cl ~site:src (Obs.Abort { txid }))
 
 let () =
-  shard_abort_txn_ref :=
-    fun cl ~src txid -> abort_transaction cl ~reason:Crash ~src txid
+  abort_transaction_ref :=
+    fun cl ~reason ~src txid -> abort_transaction cl ~reason ~src txid
 
 (* Local sweep used by Abort_phase2: roll back everything this site holds
    for the transaction, prepared or not. *)
@@ -2507,27 +2476,6 @@ let ss_proc_exit_cleanup k ~pid ~fids =
         Filestore.close_file k.store fid
       end)
     fids
-
-(* {1 Deadlock service (§3.1)} *)
-
-let deadlock_scan cl ~src =
-  Stats.incr (Engine.stats cl.c_engine) "deadlock.scans";
-  let victims =
-    Locus_deadlock.Detector.victims cl.cfg.Config.deadlock_policy (lock_tables cl)
-  in
-  List.iter
-    (fun victim ->
-      Stats.incr (Engine.stats cl.c_engine) "deadlock.victims";
-      Trace.emitf (Engine.trace cl.c_engine) ~at:(Engine.now cl.c_engine)
-        ~cat:Trace.Lock ~site:src "deadlock victim %a" Owner.pp victim;
-      match victim with
-      | Owner.Transaction txid -> abort_transaction cl ~reason:Deadlock ~src txid
-      | Owner.Process _ ->
-        List.iter (fun t -> Lock_table.cancel_owner t victim) (lock_tables cl))
-    victims;
-  victims
-
-let () = deadlock_scan_ref := deadlock_scan
 
 (* {1 The live health plane (locus_health)}
 
@@ -3141,7 +3089,7 @@ let rec handle_msg k ~src msg =
               (Lock_table.restore fid (unmarshal_locks payload));
             Hashtbl.replace k.shard_owned fid ();
             Hashtbl.replace k.shard_epochs fid epoch;
-            if not !Locus_shard.Flags.break_shard then begin
+            if not Mutant.(armed Shard) then begin
               Hashtbl.replace k.shard_hints fid k.site;
               note_lock_authority k.cl fid k.site
             end;
@@ -3338,7 +3286,7 @@ and handle_rid k ~src (env : Msg.env) (rid : Msg.rid) =
     Stats.incr (stats k) "net.dedup_stale";
     Msg.R_err "stale request"
   end
-  else if !Locus_net.Flags.break_dedup then exec_rid k ~src env rid
+  else if Mutant.(armed Dedup) then exec_rid k ~src env rid
   else begin
     let key = (rid.Msg.r_site, rid.Msg.r_inc, rid.Msg.r_seq) in
     match Hashtbl.find_opt k.reply_cache key with

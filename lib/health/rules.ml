@@ -80,7 +80,7 @@ let create ?(thresholds = default) () =
 let thresholds t = t.th
 
 let evaluate t i =
-  if !Flags.break_health then []
+  if Mutant.(armed Health) then []
   else begin
     t.degraded_streak <-
       (if i.in_degraded_copies > 0 then t.degraded_streak + 1 else 0);

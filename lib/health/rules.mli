@@ -3,8 +3,8 @@
 
     Alarms are edge-triggered: one alarm when a condition first becomes
     true, re-armed once it clears — so a stuck in-doubt transaction is one
-    alarm, not one per window. With {!Flags.break_health} set, evaluation
-    is suppressed entirely (the CI inversion that proves the explorer's
+    alarm, not one per window. With [Mutant.Health] armed, evaluation is
+    suppressed entirely (the CI inversion that proves the explorer's
     alarm-liveness oracle is live). *)
 
 type alarm = {
@@ -53,7 +53,7 @@ val create : ?thresholds:thresholds -> unit -> t
 val thresholds : t -> thresholds
 
 val evaluate : t -> input -> alarm list
-(** Rising-edge alarms for this window; [] under {!Flags.break_health}. *)
+(** Rising-edge alarms for this window; [] under [Mutant.Health]. *)
 
 val active : t -> string list
 (** Currently-firing rule names, sorted. *)

@@ -12,17 +12,13 @@ let to_string = function
 
 let pp ppf m = Fmt.string ppf (to_string m)
 
-(* Mutation switch for the serializability checker's self-test
-   (test_check.ml / `locusctl explore --break-locks`): when set, shared
-   and exclusive locks wrongly coexist, which must surface as dirty reads
-   and conflict cycles in `Locus_check`. Never set outside those tests. *)
-let test_break_shared_exclusive = ref false
-
-(* Figure 1: rows are the holder's mode, columns the other party's. *)
+(* Figure 1: rows are the holder's mode, columns the other party's. The
+   [Mutant.Locks] self-test lets shared and exclusive coexist, which
+   [Locus_check] must catch as dirty reads and conflict cycles. *)
 let access held other =
   match (held, other) with
   | Unix_access, Unix_access -> `Read_write
-  | (Shared, Exclusive | Exclusive, Shared) when !test_break_shared_exclusive ->
+  | (Shared, Exclusive | Exclusive, Shared) when Mutant.(armed Locks) ->
     `Read
   | Unix_access, Shared -> `Read
   | Shared, Unix_access -> `Read

@@ -35,9 +35,3 @@ val allows_write_by_other : t -> bool
 
 val figure_1 : (t * (t * [ `Read_write | `Read | `None ]) list) list
 (** The complete matrix, row-major, for the E1 reproduction. *)
-
-val test_break_shared_exclusive : bool ref
-(** Checker self-test only: while [true], shared and exclusive locks are
-    (wrongly) mutually compatible — an injected Figure-1 bug that
-    [Locus_check] must catch as unpermitted serializability violations.
-    Leave [false] everywhere else. *)

@@ -54,7 +54,7 @@ let register t ~txid ~participant ~vote ~ballot ~participants =
   match Hashtbl.find_opt t.votes (txid, participant) with
   | Some e -> e.vote (* first writer wins; the offerer learns the holder *)
   | None ->
-    if !Flags.break_paxos then vote (* ack without registering: vote is lost *)
+    if Mutant.(armed Paxos) then vote (* ack without registering: vote is lost *)
     else begin
       let idx =
         Volume.log_append t.vol ~tag:vote_tag

@@ -45,13 +45,11 @@ type t = {
   mutable cpu_site : int ref option array;  (* interned per-site counters *)
 }
 
-(* Self-test hook for the CI wall-clock gate (LOCUS_BREAK_LOAD=1 in
-   bench/exp_load.ml): burn O(pending-events) work per dispatched event,
-   turning the O(log n) loop quadratic. Virtual-time results are
-   untouched — only host throughput collapses, which is exactly what the
-   events/s floor in scripts/bench_gate.sh must catch. *)
-let break_load = ref false
-
+(* The [Mutant.Load] self-test of the CI wall-clock gate
+   (LOCUS_BREAK=load in the bench harness): burn O(pending-events) work
+   per dispatched event, turning the O(log n) loop quadratic. Virtual-time
+   results are untouched — only host throughput collapses, which is
+   exactly what the events/s floor in scripts/bench_gate.sh must catch. *)
 let break_scan t =
   (* The constant keeps the collapse visible even when the pending queue
      is short (open-loop runs hold tens of events, not thousands): the
@@ -307,7 +305,7 @@ let run ?(max_events = 50_000_000) ?until t =
             t.fired <- t.fired + 1;
             if !fired > max_events then
               failwith "Engine.run: max_events exceeded (virtual livelock?)";
-            if !break_load then break_scan t;
+            if Locus_util.Mutant.(armed Load) then break_scan t;
             (match ev with
             | Call f -> f ()
             | Cancellable c -> c.cf ()

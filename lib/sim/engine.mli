@@ -75,13 +75,9 @@ val pending_events : t -> int
 val events_fired : t -> int
 (** Events dispatched over the engine's lifetime (cancelled events do not
     count). [bench/exp_load.ml] divides this by elapsed wall-clock time to
-    report host-side events/s, which the CI engine-speed gate floors. *)
-
-val break_load : bool ref
-(** Self-test hook for the CI wall-clock gate: when set (via
-    [LOCUS_BREAK_LOAD=1] in the bench harness), the dispatch loop burns
-    O(pending-events) host CPU per event. Virtual-time results are
-    unchanged; only events/s collapses, which the gate must detect. *)
+    report host-side events/s, which the CI engine-speed gate floors; the
+    [Mutant.Load] self-test burns O(pending events) host CPU per event so
+    that the gate must fail. *)
 
 (** {1 Suspension points (must be called from inside a fiber)} *)
 

@@ -2,7 +2,7 @@ module Hist = struct
   (* Power-of-two buckets: bucket 0 holds the value 0, bucket [i >= 1]
      holds values in [2^(i-1), 2^i). 63 buckets cover the whole
      non-negative [int] range, so memory is bounded no matter how many
-     values are recorded — unlike the unbounded [sample] series. *)
+     values are recorded. *)
   let nbuckets = 63
 
   type t = {
@@ -49,35 +49,28 @@ module Hist = struct
     done;
     !out
 
-  (* Nearest-rank quantile over the buckets: the estimate for percentile
-     [p] is the upper edge (inclusive) of the bucket where the cumulative
-     count reaches ceil(p*n/100), clamped to the observed maximum. *)
-  let quantile t p =
-    if t.count = 0 then 0
+  (* Nearest-rank quantile over bucket counts: the estimate for per-mille
+     [pm] is the upper edge (inclusive) of the bucket where the cumulative
+     count reaches ceil(pm*n/1000), clamped to [vmax]. The one walk behind
+     the percent, per-mille and snapshot quantiles. *)
+  let walk_permille buckets ~count ~vmax pm =
+    if count = 0 then 0
     else begin
-      let rank = max 1 ((p * t.count + 99) / 100) in
+      let rank = max 1 ((pm * count + 999) / 1000) in
       let rec walk i cum =
-        if i >= nbuckets then t.vmax
+        if i >= nbuckets then vmax
         else
-          let cum = cum + t.buckets.(i) in
-          if cum >= rank then min (bucket_hi i - 1) t.vmax else walk (i + 1) cum
+          let cum = cum + buckets.(i) in
+          if cum >= rank then min (bucket_hi i - 1) vmax else walk (i + 1) cum
       in
       walk 0 0
     end
 
-  (* Per-mille variant for tail-of-tail thresholds (p999). *)
   let quantile_permille t pm =
-    if t.count = 0 then 0
-    else begin
-      let rank = max 1 ((pm * t.count + 999) / 1000) in
-      let rec walk i cum =
-        if i >= nbuckets then t.vmax
-        else
-          let cum = cum + t.buckets.(i) in
-          if cum >= rank then min (bucket_hi i - 1) t.vmax else walk (i + 1) cum
-      in
-      walk 0 0
-    end
+    walk_permille t.buckets ~count:t.count ~vmax:t.vmax pm
+
+  (* ceil(10*p*n/1000) = ceil(p*n/100): the same rank as a percent walk. *)
+  let quantile t p = quantile_permille t (10 * p)
 
   let pp ppf t =
     Fmt.pf ppf "n=%d mean=%.1f min=%d p50=%d p95=%d p99=%d max=%d" t.count
@@ -111,34 +104,18 @@ module Hist = struct
   let snap_mean s =
     if s.s_count = 0 then 0. else float_of_int s.s_total /. float_of_int s.s_count
 
-  (* Nearest-rank over the snapshot's buckets; the upper clamp is the
-     source histogram's lifetime max, an upper bound for the interval. *)
+  (* The upper clamp is the source histogram's lifetime max, an upper
+     bound for the interval. *)
   let snap_quantile s p =
-    if s.s_count = 0 then 0
-    else begin
-      let rank = max 1 ((p * s.s_count + 99) / 100) in
-      let rec walk i cum =
-        if i >= nbuckets then s.s_vmax
-        else
-          let cum = cum + s.s_buckets.(i) in
-          if cum >= rank then min (bucket_hi i - 1) s.s_vmax else walk (i + 1) cum
-      in
-      walk 0 0
-    end
+    walk_permille s.s_buckets ~count:s.s_count ~vmax:s.s_vmax (10 * p)
 end
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  series : (string, int list ref) Hashtbl.t;
   hists : (string, Hist.t) Hashtbl.t;
 }
 
-let create () =
-  {
-    counters = Hashtbl.create 32;
-    series = Hashtbl.create 32;
-    hists = Hashtbl.create 32;
-  }
+let create () = { counters = Hashtbl.create 32; hists = Hashtbl.create 32 }
 
 let counter_ref t name =
   match Hashtbl.find_opt t.counters name with
@@ -159,20 +136,11 @@ let reset t name = match Hashtbl.find_opt t.counters name with Some r -> r := 0 
 
 let reset_all t =
   Hashtbl.iter (fun _ r -> r := 0) t.counters;
-  Hashtbl.reset t.series;
   Hashtbl.reset t.hists
 
 let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let sample t name v =
-  match Hashtbl.find_opt t.series name with
-  | Some r -> r := v :: !r
-  | None -> Hashtbl.add t.series name (ref [ v ])
-
-let samples t name =
-  match Hashtbl.find_opt t.series name with Some r -> List.rev !r | None -> []
 
 let hist_ref t name =
   match Hashtbl.find_opt t.hists name with
@@ -190,57 +158,6 @@ let histograms t =
   Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.hists []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-module Summary = struct
-  type t = {
-    n : int;
-    mean : float;
-    min : int;
-    max : int;
-    p50 : int;
-    p95 : int;
-    p99 : int;
-    p999 : int;
-  }
-
-  let pp ppf s =
-    Fmt.pf ppf "n=%d mean=%.1f min=%d p50=%d p95=%d p99=%d p999=%d max=%d" s.n
-      s.mean s.min s.p50 s.p95 s.p99 s.p999 s.max
-end
-
-let summary t name =
-  match samples t name with
-  | [] -> None
-  | xs ->
-    let a = Array.of_list xs in
-    Array.sort Int.compare a;
-    let n = Array.length a in
-    (* Nearest-rank: the smallest element with at least ceil(p*n/100) of
-       the samples at or below it. (The old [p*n/100] index rounded the
-       rank up by one: p50 of [1;2] answered 2.) *)
-    let pct p = a.(max 0 (((p * n + 99) / 100) - 1)) in
-    (* Per-mille nearest rank for p999, same rounding discipline. *)
-    let pml pm = a.(max 0 (((pm * n + 999) / 1000) - 1)) in
-    let total = Array.fold_left ( + ) 0 a in
-    Some
-      Summary.
-        {
-          n;
-          mean = float_of_int total /. float_of_int n;
-          min = a.(0);
-          max = a.(n - 1);
-          p50 = pct 50;
-          p95 = pct 95;
-          p99 = pct 99;
-          p999 = pml 999;
-        }
-
 let pp ppf t =
   List.iter (fun (k, v) -> Fmt.pf ppf "%-40s %d@." k v) (counters t);
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) t.series [] in
-  List.iter
-    (fun k ->
-      match summary t k with
-      | Some s -> Fmt.pf ppf "%-40s %a@." k Summary.pp s
-      | None -> ())
-    (List.sort String.compare names);
   List.iter (fun (k, h) -> Fmt.pf ppf "%-40s %a@." k Hist.pp h) (histograms t)

@@ -1,11 +1,10 @@
-(** Named counters, latency samples, and bounded histograms gathered
-    during a simulation run.
+(** Named counters and bounded histograms gathered during a simulation
+    run.
 
     The benchmark harness reads these to reproduce the paper's tables:
-    disk-I/O counts drive Figure 5, and latency samples drive Figure 6 and
-    the §6.2 locking measurements. Hot paths that would otherwise grow an
-    unbounded [sample] series record into log-bucketed {!Hist} histograms
-    instead (fixed memory, O(1) insert). *)
+    disk-I/O counts drive Figure 5, and latency histograms drive Figure 6
+    and the §6.2 locking measurements. Histograms are log-bucketed
+    {!Hist}s: fixed memory, O(1) insert. *)
 
 (** Bounded log2-bucketed histogram: bucket 0 holds the value 0, bucket
     [i >= 1] holds values in [[2^(i-1), 2^i)]. *)
@@ -84,15 +83,6 @@ val counters : t -> (string * int) list
     operation (JSON / table rendering), never to be called per event or
     per sampler tick. *)
 
-(** {1 Latency / value samples} *)
-
-val sample : t -> string -> int -> unit
-(** Record one sample (e.g. a latency in µs) under [name]. Unbounded —
-    prefer {!hist} on hot paths. *)
-
-val samples : t -> string -> int list
-(** Samples in recording order; [] if none. *)
-
 (** {1 Histograms} *)
 
 val hist : t -> string -> int -> unit
@@ -107,23 +97,5 @@ val histograms : t -> (string * Hist.t) list
 (** All histograms, sorted by name. Export-time only, like {!counters} —
     keep it off per-tick paths. *)
 
-module Summary : sig
-  type t = {
-    n : int;
-    mean : float;
-    min : int;
-    max : int;
-    p50 : int;
-    p95 : int;
-    p99 : int;
-    p999 : int;  (** per-mille nearest rank — tail-of-tail for alarm rules *)
-  }
-
-  val pp : t Fmt.t
-end
-
-val summary : t -> string -> Summary.t option
-(** Nearest-rank quantiles over a recorded sample series. *)
-
 val pp : t Fmt.t
-(** Render all counters, sample summaries and histograms, for debugging. *)
+(** Render all counters and histograms, for debugging. *)

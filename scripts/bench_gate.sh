@@ -15,7 +15,7 @@
 #      must show >= MIN_FORCE_RATIO fewer coordinator-log forces and
 #      >= MIN_MSG_RATIO fewer per-commit messages than window 0. This is
 #      what makes the gate fire when batching silently stops working
-#      (CI proves it by re-running e16 under LOCUS_BREAK_BATCH=1 and
+#      (CI proves it by re-running e16 under LOCUS_BREAK=batch and
 #      asserting this script fails).
 #
 #   3. e19 self-contained checks: over the lossy network every run must
@@ -23,14 +23,14 @@
 #      drop rows must show faults actually injected AND reply-cache
 #      hits absorbing the resulting duplicates, and the lossy rows must
 #      cost more messages per commit than the clean row. CI proves the
-#      oracle side with the explorer's --break-dedup inversion.
+#      oracle side with the explorer's --break dedup inversion.
 #
 #   4. e18 self-contained ratios: dynamic lock placement must actually
 #      collapse the hot-key round trips — the placement-on row needs a
 #      local-hit ratio >= MIN_LOCAL_HIT (with the off row staying below
 #      MAX_STATIC_HIT), at least one migration, and a lock p50 no more
 #      than E18_P50_FRACTION of the static row's. CI proves the gate
-#      fires by re-running e18 under LOCUS_BREAK_SHARD=1 (the owner
+#      fires by re-running e18 under LOCUS_BREAK=shard (the owner
 #      keeps granting at its superseded epoch) and asserting this
 #      script fails.
 #
@@ -41,7 +41,7 @@
 #      the engine's host dispatch rate (events_per_sec_wall, the one
 #      machine-dependent number in any BENCH json) must clear the
 #      MIN_WALL_EPS floor. CI proves the floor has teeth by re-running
-#      e21 under LOCUS_BREAK_LOAD=1 — an O(queue) scan per dispatched
+#      e21 under LOCUS_BREAK=load — an O(queue) scan per dispatched
 #      event that leaves every virtual metric byte-identical while the
 #      wall rate collapses ~25x — and asserting this script fails.
 #
@@ -52,7 +52,7 @@
 #      windows actually closing and zero alarms on the clean loop — and
 #      the stranded-coordinator scenario must raise in_doubt_age within
 #      MAX_ALARM_WINDOWS window closes of the age-threshold crossing.
-#      CI proves the oracle side with the explorer's --break-health
+#      CI proves the oracle side with the explorer's --break health
 #      inversion.
 #
 # Usage: scripts/bench_gate.sh [exp ...]   (default: e4 e15 e16 e17 e18 e19 e20 e21)
@@ -68,7 +68,7 @@ E18_P50_FRACTION=${E18_P50_FRACTION:-0.6}
 MAX_ALARM_WINDOWS=${MAX_ALARM_WINDOWS:-2}
 # Host-dispatch floor for e21 (events per wall second). ~measured/5 on
 # the reference machine: generous enough for slow CI runners, far above
-# the ~25x collapse LOCUS_BREAK_LOAD=1 inflicts.
+# the ~25x collapse LOCUS_BREAK=load inflicts.
 MIN_WALL_EPS=${MIN_WALL_EPS:-100000}
 BASELINES=${BASELINES:-bench/baselines}
 EXPS=("${@:-e4 e15 e16 e17 e18 e19 e20 e21}")

@@ -49,9 +49,7 @@ let test_window_zero_is_unbatched () =
     (Stats.get (Engine.stats e) "log.group_forces")
 
 let test_break_batch_degrades_group_commit () =
-  Locus_batch.Flags.break_batch := true;
-  Fun.protect ~finally:(fun () -> Locus_batch.Flags.break_batch := false)
-  @@ fun () ->
+  Mutant.(with_armed [ Batch ]) @@ fun () ->
   let e = Engine.create () in
   let v = V.create e ~vid:1 () in
   V.set_group_commit v ~site:0 ~window_us:1_000;

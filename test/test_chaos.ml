@@ -78,6 +78,41 @@ let test_client_crash_clears_cache () =
   Alcotest.(check int) "crash announcement purged it" 0
     (K.dedup_cached (K.kernel cl 1))
 
+(* The Dedup mutant against the duplicate-apply oracle, over the chaos
+   CI lane's sweep shape: with the reply cache bypassed a lossy network
+   must double-apply some non-idempotent request, and the same seeds must
+   be clean with the cache in place. *)
+let test_break_dedup_flags_dup_apply () =
+  let module Ck = Locus_check.Checker in
+  let module Ex = Locus_check.Explore in
+  let cfg =
+    {
+      Ex.default_config with
+      sites = 3;
+      fault_every = Some 5;
+      net_faults = Some { T.no_faults with drop = 0.05; dup = 0.05; reorder = 4 };
+    }
+  in
+  let dup_applies () =
+    List.filter
+      (fun seed ->
+        let _, _, report, _ = Ex.run_seed cfg seed in
+        List.exists
+          (fun c ->
+            match c.Ck.violation with
+            | Ck.Dup_apply _ -> not c.Ck.permitted
+            | Ck.Dirty_read _ | Ck.Cycle _ | Ck.Stale_read _
+            | Ck.Fenced_grant _ ->
+              false)
+          report.Ck.violations)
+      (Ex.seeds ~n:5 ~from:42)
+  in
+  let r = Ex.sweep ~config:cfg ~seeds:(Ex.seeds ~n:5 ~from:42) () in
+  Alcotest.(check (list int)) "seeds 42-46 clean with the reply cache" []
+    (List.map (fun f -> f.Ex.f_seed) r.Ex.failures);
+  Alcotest.(check bool) "bypassed reply cache caught as Dup_apply" true
+    (Mutant.(with_armed [ Dedup ]) dup_applies <> [])
+
 let suite =
   [
     ( "chaos.dedup",
@@ -88,5 +123,7 @@ let suite =
           test_watermark_evicts_and_fences;
         Alcotest.test_case "client crash clears cache" `Quick
           test_client_crash_clears_cache;
+        Alcotest.test_case "break-dedup flags duplicate apply" `Quick
+          test_break_dedup_flags_dup_apply;
       ] );
   ]

@@ -405,18 +405,14 @@ let test_differential_explored () =
       (E.seeds ~n:10 ~from:0)
   in
   ignore (run E.default_config @ run open_loop);
-  M.test_break_shared_exclusive := true;
-  Fun.protect ~finally:(fun () -> M.test_break_shared_exclusive := false)
-  @@ fun () ->
+  Mutant.(with_armed [ Locks ]) @@ fun () ->
   let broken = run E.default_config @ run open_loop in
   Alcotest.(check bool) "broken locks produce real cycles" true (broken <> [])
 
 (* {1 Explorer + shrinker self-test} *)
 
 let test_broken_matrix_caught () =
-  M.test_break_shared_exclusive := true;
-  Fun.protect ~finally:(fun () -> M.test_break_shared_exclusive := false)
-  @@ fun () ->
+  Mutant.(with_armed [ Locks ]) @@ fun () ->
   let module E = Ck.Explore in
   let r = E.sweep ~seeds:(E.seeds ~n:10 ~from:0) () in
   match r.E.failures with

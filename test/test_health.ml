@@ -3,7 +3,7 @@
    per-site health RPC with its unreachable-site fan-out, the in-doubt
    alarm on a stranded 2PC coordinator kill — and both checker oracles
    (no false alarms on clean seeds, alarm liveness on kill seeds), the
-   latter proven live by the --break-health inversion. *)
+   latter proven live by the --break health inversion. *)
 
 module L = Locus_core.Locus
 module Api = L.Api
@@ -155,8 +155,7 @@ let test_rules_degraded_streak_and_break () =
   | l -> Alcotest.failf "expected 1 alarm, got %d" (List.length l));
   (* The CI inversion: with the watchdog muted nothing ever fires. *)
   let r2 = H.Rules.create () in
-  H.Flags.break_health := true;
-  Fun.protect ~finally:(fun () -> H.Flags.break_health := false) @@ fun () ->
+  Mutant.(with_armed [ Health ]) @@ fun () ->
   for w = 1 to 5 do
     Alcotest.(check int) "break-health mutes every rule" 0
       (List.length
@@ -292,8 +291,7 @@ let test_sweep_kill_alarm_liveness () =
     (List.map (fun f -> f.Ex.f_seed) r.Ex.failures)
 
 let test_break_health_fails_liveness_oracle () =
-  H.Flags.break_health := true;
-  Fun.protect ~finally:(fun () -> H.Flags.break_health := false) @@ fun () ->
+  Mutant.(with_armed [ Health ]) @@ fun () ->
   let r =
     Ex.sweep ~config:(health_cfg (Some 3)) ~seeds:(Ex.seeds ~n:25 ~from:40) ()
   in

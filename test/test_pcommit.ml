@@ -221,9 +221,7 @@ let test_break_paxos_blocks () =
   (* Self-test inversion: acceptors that ack votes without registering
      them make the decision unlearnable, so the same scenario must end
      with blocked participants — proving the liveness oracle has teeth. *)
-  Locus_pcommit.Flags.break_paxos := true;
-  Fun.protect ~finally:(fun () -> Locus_pcommit.Flags.break_paxos := false)
-  @@ fun () ->
+  Mutant.(with_armed [ Paxos ]) @@ fun () ->
   let sim, _ =
     run_scenario ~config:paxos_config ~inject:kill_coordinator_at_decide
   in

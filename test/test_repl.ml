@@ -240,17 +240,14 @@ let test_version_gap_triggers_pull () =
          Api.write_string env c "AAAA";
          Api.commit_file env c;
          (* v3 never reaches the secondary... *)
-         R.Flags.drop_propagation := true;
-         Api.pwrite env c ~pos:0 (Bytes.of_string "BBBB");
-         Api.commit_file env c;
-         R.Flags.drop_propagation := false;
+         Mutant.(with_armed [ Repl ]) (fun () ->
+             Api.pwrite env c ~pos:0 (Bytes.of_string "BBBB");
+             Api.commit_file env c);
          (* ...so v4's delta exposes the gap. *)
          Api.pwrite env c ~pos:0 (Bytes.of_string "CCCC");
          Api.commit_file env c;
          Api.close env c));
-  Fun.protect
-    ~finally:(fun () -> R.Flags.drop_propagation := false)
-    (fun () -> L.run sim);
+  Mutant.with_armed [] (fun () -> L.run sim);
   Alcotest.(check bool) "gap detected" true
     (L.Stats.get (stats sim) "replica.gaps" > 0);
   let vol = List.find (fun v -> v.K.rv_vid = 1) (K.replica_status cl) in
@@ -269,11 +266,9 @@ let test_checker_catches_broken_propagation () =
      reads somewhere in a small sweep (seed 42 is a known reproducer). *)
   let module E = Ck.Explore in
   let cfg = { E.default_config with E.sites = 3; replicas = 2 } in
-  R.Flags.drop_propagation := true;
   let r =
-    Fun.protect
-      ~finally:(fun () -> R.Flags.drop_propagation := false)
-      (fun () -> E.sweep ~config:cfg ~seeds:(E.seeds ~n:10 ~from:42) ())
+    Mutant.(with_armed [ Repl ]) @@ fun () ->
+    E.sweep ~config:cfg ~seeds:(E.seeds ~n:10 ~from:42) ()
   in
   Alcotest.(check bool) "stale reads flagged" true (r.E.failures <> []);
   let is_stale = function

@@ -1,7 +1,7 @@
 (* locus_shard: dynamic lock/primary placement. The directory's epoch
    CAS, the threshold migration policy, stale-hint forwarding, ownership
    hand-off under a live transaction, crashed-owner re-homing — and the
-   epoch-fence oracle, proven live by the --break-shard inversion. *)
+   epoch-fence oracle, proven live by the --break shard inversion. *)
 
 module L = Locus_core.Locus
 module Api = L.Api
@@ -311,9 +311,7 @@ let test_large_cluster_smoke () =
    epoch instead of standing down MUST be flagged by the epoch-fence
    oracle as an unpermitted violation — proving the oracle has teeth. *)
 let test_break_shard_flags_fenced_grant () =
-  Locus_shard.Flags.break_shard := true;
-  Fun.protect ~finally:(fun () -> Locus_shard.Flags.break_shard := false)
-  @@ fun () ->
+  Mutant.(with_armed [ Shard ]) @@ fun () ->
   let cfg =
     { Ex.default_config with sites = 4; shards = 8; fault_every = Some 2 }
   in

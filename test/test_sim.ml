@@ -265,17 +265,6 @@ let test_run_until () =
   E.run t;
   Alcotest.(check int) "completes" 1000 (E.now t)
 
-let test_stats_summary () =
-  let s = Stats.create () in
-  List.iter (Stats.sample s "lat") [ 5; 1; 9; 3; 7 ];
-  match Stats.summary s "lat" with
-  | None -> Alcotest.fail "no summary"
-  | Some sum ->
-    Alcotest.(check int) "n" 5 sum.Stats.Summary.n;
-    Alcotest.(check int) "min" 1 sum.Stats.Summary.min;
-    Alcotest.(check int) "max" 9 sum.Stats.Summary.max;
-    Alcotest.(check int) "p50" 5 sum.Stats.Summary.p50
-
 let test_costs () =
   let c = Costs.default in
   Alcotest.(check int) "750 instr = 1.5ms" 1500 (Costs.instr_us c 750);
@@ -315,7 +304,6 @@ let suite =
       ] );
     ( "sim.stats",
       [
-        Alcotest.test_case "summary" `Quick test_stats_summary;
         Alcotest.test_case "costs" `Quick test_costs;
       ] );
   ]
@@ -392,41 +380,7 @@ let test_emitf_lazy () =
   Alcotest.(check int) "enabled category renders" 1 !forced;
   Alcotest.(check int) "one event recorded" 1 (List.length (Trace.events t))
 
-(* Appended: nearest-rank quantiles, bounded histograms, ring drop count. *)
-
-let test_stats_quantile_nearest_rank () =
-  (* Regression: nearest-rank p50 of [1; 2] is the 1st order statistic (1),
-     not the 2nd — rank = ceil(50 * 2 / 100) = 1. *)
-  let s = Stats.create () in
-  List.iter (Stats.sample s "two") [ 2; 1 ];
-  (match Stats.summary s "two" with
-  | None -> Alcotest.fail "no summary"
-  | Some sum ->
-    Alcotest.(check int) "p50 of [1;2]" 1 sum.Stats.Summary.p50;
-    Alcotest.(check int) "p99 of [1;2]" 2 sum.Stats.Summary.p99);
-  let s2 = Stats.create () in
-  for v = 100 downto 1 do
-    Stats.sample s2 "hundred" v
-  done;
-  (match Stats.summary s2 "hundred" with
-  | None -> Alcotest.fail "no summary"
-  | Some sum ->
-    Alcotest.(check int) "p50 of 1..100" 50 sum.Stats.Summary.p50;
-    Alcotest.(check int) "p95 of 1..100" 95 sum.Stats.Summary.p95;
-    Alcotest.(check int) "p99 of 1..100" 99 sum.Stats.Summary.p99;
-    (* p999 of 100 samples: rank ceil(99.9) = 100 -> the maximum. *)
-    Alcotest.(check int) "p999 of 1..100" 100 sum.Stats.Summary.p999);
-  (* p999 separates from p99 once the population is large enough: of
-     1..1000, p99 is the 990th order statistic but p999 is the 999th. *)
-  let s3 = Stats.create () in
-  for v = 1 to 1000 do
-    Stats.sample s3 "thousand" v
-  done;
-  match Stats.summary s3 "thousand" with
-  | None -> Alcotest.fail "no summary"
-  | Some sum ->
-    Alcotest.(check int) "p99 of 1..1000" 990 sum.Stats.Summary.p99;
-    Alcotest.(check int) "p999 of 1..1000" 999 sum.Stats.Summary.p999
+(* Appended: bounded histograms, ring drop count. *)
 
 (* The histogram-side per-mille quantile and the snapshot/diff algebra the
    health sampler's interval merges are built on. *)
@@ -510,7 +464,6 @@ let suite =
         ] );
       ( "sim.stats.quantiles",
         [
-          Alcotest.test_case "nearest rank" `Quick test_stats_quantile_nearest_rank;
           Alcotest.test_case "hist buckets" `Quick test_hist_buckets;
           Alcotest.test_case "hist permille + snapshots" `Quick
             test_hist_permille_and_snapshots;

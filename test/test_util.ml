@@ -1,4 +1,5 @@
-(* Unit and property tests for Byte_range, Range_set and Lru. *)
+(* Unit and property tests for Byte_range, Range_set, Lru and the Mutant
+   registry. *)
 
 let range = Alcotest.testable Byte_range.pp Byte_range.equal
 
@@ -157,8 +158,56 @@ let prop_lru_capacity =
       List.iter (fun k -> ignore (Lru.put l k k)) keys;
       Lru.length l <= cap)
 
+(* {1 Mutant} *)
+
+let mutants = Alcotest.(list (of_pp (fun ppf m -> Fmt.string ppf (Mutant.name m))))
+
+let armed () = List.filter Mutant.armed Mutant.all
+
+let test_mutant_names () =
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (Mutant.name m) true
+        (Mutant.of_string (Mutant.name m) = Some m))
+    Mutant.all;
+  Alcotest.(check bool) "unknown name" true (Mutant.of_string "bogus" = None);
+  Alcotest.check mutants "none armed by default" [] (armed ())
+
+let test_mutant_with_armed () =
+  Mutant.(with_armed [ Locks ]) (fun () ->
+      Mutant.(with_armed [ Repl; Load ]) (fun () ->
+          Alcotest.check mutants "nested sets union" Mutant.[ Locks; Repl; Load ]
+            (armed ()));
+      Alcotest.check mutants "inner set restored" Mutant.[ Locks ] (armed ());
+      (match Mutant.(with_armed [ Shard ]) (fun () -> failwith "boom") with
+      | () -> Alcotest.fail "exception swallowed"
+      | exception Failure _ -> ());
+      Alcotest.check mutants "restored on exception" Mutant.[ Locks ] (armed ()));
+  Alcotest.check mutants "outer set restored" [] (armed ())
+
+let test_mutant_of_env () =
+  let with_env v f =
+    Unix.putenv "LOCUS_BREAK" v;
+    Fun.protect f ~finally:(fun () -> Unix.putenv "LOCUS_BREAK" "")
+  in
+  with_env "" (fun () -> Alcotest.check mutants "empty" [] (Mutant.of_env ()));
+  with_env "batch,shard" (fun () ->
+      Alcotest.check mutants "list" Mutant.[ Batch; Shard ] (Mutant.of_env ()));
+  with_env "batch,bogus" (fun () ->
+      match Mutant.of_env () with
+      | _ -> Alcotest.fail "unknown name accepted"
+      | exception Invalid_argument _ -> ())
+
 let suite =
   [
+    ( "util.mutant",
+      [
+        Alcotest.test_case "names round-trip" `Quick test_mutant_names;
+        Alcotest.test_case "with_armed nests and restores" `Quick
+          test_mutant_with_armed;
+        Alcotest.test_case "of_env rejects unknown names" `Quick
+          test_mutant_of_env;
+      ] );
     ( "util.byte_range",
       [
         Alcotest.test_case "basics" `Quick test_basics;
