@@ -162,7 +162,7 @@ let e18 () =
   in
   Jsonout.write ~exp:"e18" metrics;
   Tables.paper
-    "not in the paper: §5.2 stops at temporary delegation of lock \
-     control; locus_shard makes the placement durable and dynamic — a \
-     directory-backed lock-manager role that migrates toward the \
-     traffic under an epoch fence"
+    "not in the paper: §5.2 stops at a temporary transfer of lock \
+     control to a heavy user (E2d, one shard); locus_shard makes the \
+     placement durable and dynamic — a directory-backed lock-manager \
+     role that migrates toward the traffic under an epoch fence"

@@ -100,8 +100,8 @@ let rpc_storage_or_replica env fid msg =
   | Some dst -> Kernel.rpc env.cl ~src:(site env) ~dst msg
   | None -> rpc_storage env fid msg
 
-(* Lock operations go to the current lock authority (§5.2 delegation, or
-   the locus_shard lock-manager role): start from the hint, follow
+(* Lock operations go to the current lock authority (the storage site,
+   or the locus_shard lock-manager role): start from the hint, follow
    redirects, fall back to the storage site. Under dynamic placement a
    stale hint may also bounce ([R_retry], e.g. mid-migration or an
    unreachable directory) — sleep and re-chase, never fail a lock on

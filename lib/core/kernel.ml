@@ -51,8 +51,6 @@ module Config = struct
     cache_pages : int;
     lock_cache : bool;
     prefetch : bool;
-    lock_delegation : bool;
-    delegation_threshold : int;
     prepare_log_per_file : bool;
     two_write_log : bool;
     replica_sync : bool;
@@ -95,8 +93,6 @@ module Config = struct
       cache_pages = 128;
       lock_cache = true;
       prefetch = false;
-      lock_delegation = false;
-      delegation_threshold = 3;
       prepare_log_per_file = false;
       two_write_log = false;
       replica_sync = true;
@@ -161,13 +157,10 @@ module Config = struct
         (match thresholds with Some t -> t | None -> cfg.health_thresholds);
     }
 
-  (* Dynamic lock placement (locus_shard). Mutually exclusive with §5.2
-     delegation: both move lock authority, by different rules, and a
-     request could otherwise ping-pong between the two redirect schemes. *)
+  (* Dynamic lock placement (locus_shard): the one mechanism that moves
+     lock authority, including §5.2's transfer to a heavy user. *)
   let with_shards ~shards ?policy cfg =
     if shards <= 0 then invalid_arg "Config.with_shards: shards must be > 0";
-    if cfg.lock_delegation then
-      invalid_arg "Config.with_shards: incompatible with lock_delegation";
     {
       cfg with
       shards;
@@ -218,10 +211,6 @@ type t = {
      doubt was entered, so the health plane can age the oldest one *)
   fibers : (Pid.t, Engine.Fiber.handle) Hashtbl.t;
   end_waits : (Txid.t, ready Engine.Ivar.t) Hashtbl.t;
-  (* §5.2 lock-control migration state. *)
-  delegations : (File_id.t, Site.t) Hashtbl.t;  (* we are home; authority is there *)
-  hosted : (File_id.t, Site.t) Hashtbl.t;  (* we hold authority; home is there *)
-  lock_origins : (File_id.t, Site.t * int) Hashtbl.t;  (* consecutive remote requesters *)
   (* locus_shard dynamic lock placement state (all volatile). *)
   shard_owned : (File_id.t, unit) Hashtbl.t;  (* lock-manager roles held here *)
   shard_epochs : (File_id.t, int) Hashtbl.t;  (* highest epoch seen per fid (fence) *)
@@ -748,14 +737,11 @@ let uncovered_pieces table ~owner ~range ~write =
 
 exception Denied of string
 
-(* {1 Lock-control migration (§5.2)}
+(* {1 Lock authority}
 
-   A storage site may temporarily transfer its ability to manage a file's
-   locks to a site whose processes are making heavy use of them. Clients
-   learn the current authority through [R_redirect] replies and a hint
-   map. Authority returns home ("recall") before anything that needs the
-   lock state next to the data: prepare, data access with implicit
-   locking, commit/abort lock release. *)
+   Under static placement the storage site manages a file's locks; under
+   locus_shard the role moves (below). Clients learn the current
+   authority through [R_redirect] replies and a hint map. *)
 
 let lock_authority_hint cl fid = Hashtbl.find_opt cl.lock_authority fid
 let note_lock_authority cl fid s = Hashtbl.replace cl.lock_authority fid s
@@ -763,86 +749,19 @@ let note_lock_authority cl fid s = Hashtbl.replace cl.lock_authority fid s
 let marshal_locks (locks : Lock_table.lock list) = Marshal.to_string locks []
 let unmarshal_locks s : Lock_table.lock list = Marshal.from_string s 0
 
-(* Where should this site handle (or send) a lock operation on [fid]? *)
+(* Where should this site handle (or send) a lock operation on [fid]
+   under static placement? *)
 let lock_route k fid =
-  if Hashtbl.mem k.hosted fid then `Here
-  else if k.site = storage_site k.cl fid then begin
-    match Hashtbl.find_opt k.delegations fid with
-    | Some d -> `Redirect d
-    | None -> `Here
-  end
-  else `Redirect (storage_site k.cl fid)
-
-(* Take lock management back from the delegate. On delegate crash the
-   lock state dies with its volatile tables — exactly like any other
-   volatile lock state lost in a crash; the topology sweep aborts the
-   owning transactions. *)
-let recall_locks k fid =
-  match Hashtbl.find_opt k.delegations fid with
-  | None -> ()
-  | Some d ->
-    let rec go tries =
-      match rpc k.cl ~src:k.site ~dst:d (Msg.Recall_locks { fid }) with
-      | Msg.R_data payload ->
-        Hashtbl.replace k.locks fid (Lock_table.restore fid (unmarshal_locks (Bytes.to_string payload)));
-        Hashtbl.remove k.delegations fid;
-        note_lock_authority k.cl fid k.site;
-        Stats.incr (stats k) "delegation.recalls"
-      | Msg.R_retry when tries < 100 ->
-        Engine.sleep 2_000;
-        go (tries + 1)
-      | _ ->
-        (* Delegate unreachable: authority (and its volatile lock state)
-           is gone. Resume with an empty table. *)
-        Hashtbl.replace k.locks fid (Lock_table.create fid);
-        Hashtbl.remove k.delegations fid;
-        note_lock_authority k.cl fid k.site;
-        Stats.incr (stats k) "delegation.lost"
-    in
-    go 0
-
-let ensure_authority_home k fid =
-  if Hashtbl.mem k.delegations fid then recall_locks k fid
-
-(* Called at the home site on each remote lock request: hand authority to
-   a site that keeps coming back. *)
-let maybe_delegate k fid ~src =
-  let cfg = k.cl.cfg in
-  if cfg.Config.lock_delegation && src <> k.site then begin
-    let streak =
-      match Hashtbl.find_opt k.lock_origins fid with
-      | Some (s, n) when s = src -> n + 1
-      | Some _ | None -> 1
-    in
-    Hashtbl.replace k.lock_origins fid (src, streak);
-    if
-      streak >= cfg.Config.delegation_threshold
-      && not (Hashtbl.mem k.delegations fid)
-    then begin
-      let table = ensure_table k fid in
-      if Lock_table.waiting table = 0 then begin
-        let payload = marshal_locks (Lock_table.locks table) in
-        match rpc k.cl ~src:k.site ~dst:src (Msg.Delegate_locks { fid; payload }) with
-        | Msg.R_ok ->
-          Hashtbl.remove k.locks fid;
-          Hashtbl.replace k.delegations fid src;
-          Hashtbl.remove k.lock_origins fid;
-          note_lock_authority k.cl fid src;
-          tr k Trace.Lock "delegated %a to site%d" File_id.pp fid src;
-          Stats.incr (stats k) "delegation.out"
-        | _ -> ()
-      end
-    end
-  end
-  else if src = k.site then Hashtbl.remove k.lock_origins fid
+  let home = storage_site k.cl fid in
+  if k.site = home then `Here else `Redirect home
 
 (* {1 Dynamic lock placement (locus_shard)}
 
-   Scale-out generalization of §5.2: instead of a per-file delegation
-   that always returns home, each file's lock-manager role has a current
-   owner recorded in a sharded directory (authoritative per-shard
-   directory sites, {!Locus_repl.Placement.directory}), and the role
-   migrates toward the site generating the traffic. Every site keeps a
+   §5.2's transfer of lock management to a heavy user, generalized: each
+   file's lock-manager role has a current owner recorded in a sharded
+   directory (authoritative per-shard directory sites,
+   {!Locus_repl.Placement.directory}), and the role migrates toward the
+   site generating the traffic. Every site keeps a
    stale-tolerant hint cache; a wrong hint costs a redirect (or a retry),
    never a mis-grant, because ownership changes are epoch CAS operations
    at the directory and a transfer carrying a stale epoch is fenced by
@@ -1078,8 +997,8 @@ let shard_migrate k fid ~dst =
         | Ok _ | Error _ ->
           (* The directory now names [dst] owner but the table never
              arrived: cede ownership (the fence makes our copy unusable)
-             and abort the transactions whose lock state was lost — same
-             failure mode as a delegate crash in §5.2. *)
+             and abort the transactions whose lock state was lost, as
+             when the owner crashes. *)
           Stats.incr (stats k) "shard.transfer_lost";
           Hashtbl.remove k.shard_owned fid;
           Hashtbl.remove k.locks fid;
@@ -1442,7 +1361,6 @@ let ensure_writable k fid = ensure_writable_vid k fid.File_id.vid
 let ss_read k ~fid ~reader ~pid ~pos ~len =
   if len <= 0 then Bytes.create 0
   else begin
-    ensure_authority_home k fid;
     let range = Byte_range.of_pos_len ~pos ~len in
     let data =
       match reader with
@@ -1473,7 +1391,6 @@ let ss_read k ~fid ~reader ~pid ~pos ~len =
 let ss_write k ~fid ~owner ~pid ~pos ~data =
   let len = Bytes.length data in
   if len > 0 then begin
-    ensure_authority_home k fid;
     ensure_writable k fid;
     let range = Byte_range.of_pos_len ~pos ~len in
     (match owner with
@@ -1495,7 +1412,6 @@ let ss_write k ~fid ~owner ~pid ~pos ~data =
 (* Atomic lock-and-extend at end of file (§3.2): retry with a fresh EOF
    whenever someone else extended the file while we waited. *)
 let ss_lock_append k ~fid ~owner ~pid ~len ~mode ~non_transaction =
-  ensure_authority_home k fid;
   (* Atomic EOF-and-lock needs the lock state next to the file size: pull
      the migrated role home first (no-op when placement is static). *)
   shard_claim_home k fid;
@@ -1941,7 +1857,6 @@ let ss_abort2 k ~txid ~files =
   tr k Trace.Txn "phase2 abort %a" Txid.pp txid;
   leave_doubt k txid;
   let owner = Owner.Transaction txid in
-  List.iter (ensure_authority_home k) files;
   let prepared_before = Participant.prepared_files k.participant txid in
   let local_fids =
     Hashtbl.fold
@@ -1979,7 +1894,6 @@ let ss_commit2 k ~txid ~files =
   tr k Trace.Txn "phase2 commit %a" Txid.pp txid;
   leave_doubt k txid;
   let owner = Owner.Transaction txid in
-  List.iter (ensure_authority_home k) files;
   let prepared = Participant.prepared_files k.participant txid in
   let intentions = Participant.prepared_intentions k.participant txid in
   with_span k ~cat:"txn" "phase2.apply" (fun () ->
@@ -2792,17 +2706,7 @@ let rec handle_msg k ~src msg =
         match lock_route k fid with
         | `Redirect d -> R_redirect d
         | `Here ->
-        maybe_delegate k fid ~src;
-        (* Delegation may have just moved the table away. *)
-        match
-          (match lock_route k fid with
-          | `Redirect d -> `Moved d
-          | `Here ->
-            `R (grant_lock k ~fid ~owner ~pid ~mode ~range ~non_transaction ~wait))
-        with
-        | `Moved d -> R_redirect d
-        | `R r ->
-        match r with
+        match grant_lock k ~fid ~owner ~pid ~mode ~range ~non_transaction ~wait with
         | `Granted ->
           if k.cl.cfg.Config.prefetch && src <> k.site then begin
             (* §5.2: piggyback the locked range's data on the grant, in
@@ -2864,7 +2768,6 @@ let rec handle_msg k ~src msg =
         end;
         R_ok
       | Abort_file { fid; owner } ->
-        ensure_authority_home k fid;
         if Filestore.is_open k.store fid then begin
           Filestore.abort k.store fid ~owner;
           obs k (Obs.File_abort { owner; fid })
@@ -2923,8 +2826,6 @@ let rec handle_msg k ~src msg =
         R_ok
       | Prepare { txid; coordinator_site; files; participants } ->
         Stats.incr (stats k) "2pc.prepares";
-        (* The lock state must be home before we log it with the data. *)
-        List.iter (recall_locks k) files;
         let vote =
           try
             (* A degraded primary cannot version the updates correctly
@@ -3007,22 +2908,6 @@ let rec handle_msg k ~src msg =
       | Replica_versions { vid } -> ss_replica_versions k ~vid
       | Replica_read { fid; reader; pid; pos; len } ->
         ss_replica_read k ~fid ~reader ~pid ~pos ~len
-      | Delegate_locks { fid; payload } ->
-        Hashtbl.replace k.locks fid
-          (Lock_table.restore fid (unmarshal_locks payload));
-        Hashtbl.replace k.hosted fid src;
-        Stats.incr (stats k) "delegation.in";
-        R_ok
-      | Recall_locks { fid } -> (
-        match Hashtbl.find_opt k.locks fid with
-        | Some table when Hashtbl.mem k.hosted fid ->
-          if Lock_table.waiting table > 0 then R_retry
-          else begin
-            Hashtbl.remove k.locks fid;
-            Hashtbl.remove k.hosted fid;
-            R_data (Bytes.of_string (marshal_locks (Lock_table.locks table)))
-          end
-        | Some _ | None -> R_err "not hosted here")
       | Acceptor_forget { txid } ->
         if not k.acc_ready then R_retry
         else begin
@@ -3354,9 +3239,6 @@ let kernel_crash k =
   Hashtbl.reset k.locks;
   Hashtbl.reset k.fibers;
   Hashtbl.reset k.end_waits;
-  Hashtbl.reset k.delegations;
-  Hashtbl.reset k.hosted;
-  Hashtbl.reset k.lock_origins;
   Hashtbl.reset k.shard_owned;
   Hashtbl.reset k.shard_epochs;
   Hashtbl.reset k.shard_hints;
@@ -3607,38 +3489,6 @@ let topology_sweep k =
                end
              end)
            (Txn_state.active k.txns);
-         (* Delegated-out lock authority at a site that just became
-            unreachable is lost with that site's volatile state: resume at
-            home with an empty table (owning transactions get aborted by
-            the sweeps below). *)
-         let stale_delegations =
-           Hashtbl.fold
-             (fun fid d acc ->
-               if not (Transport.reachable cl.net k.site d) then fid :: acc
-               else acc)
-             k.delegations []
-         in
-         List.iter
-           (fun fid ->
-             Hashtbl.replace k.locks fid (Lock_table.create fid);
-             Hashtbl.remove k.delegations fid;
-             note_lock_authority cl fid k.site;
-             Stats.incr (stats k) "delegation.lost")
-           stale_delegations;
-         (* Hosted lock authority whose home storage site is gone dies
-            with it. *)
-         let stale_hosted =
-           Hashtbl.fold
-             (fun fid home acc ->
-               if not (Transport.reachable cl.net k.site home) then fid :: acc
-               else acc)
-             k.hosted []
-         in
-         List.iter
-           (fun fid ->
-             Hashtbl.remove k.hosted fid;
-             Hashtbl.remove k.locks fid)
-           stale_hosted;
          (* As a storage site: foreign unprepared transactions whose home
             is unreachable are aborted locally; prepared ones stay in
             doubt. *)
@@ -3734,8 +3584,6 @@ let replica_topology_mark k =
 
 let make engine cfg =
   let n_sites = cfg.Config.n_sites in
-  if cfg.Config.shards > 0 && cfg.Config.lock_delegation then
-    invalid_arg "Kernel.make: lock_delegation and shards are mutually exclusive";
   (match cfg.Config.commit_protocol with
   | Config.Two_phase -> ()
   | Config.Paxos { f } ->
@@ -3848,9 +3696,6 @@ let make engine cfg =
       doubted = Hashtbl.create 8;
       fibers = Hashtbl.create 32;
       end_waits = Hashtbl.create 8;
-      delegations = Hashtbl.create 8;
-      hosted = Hashtbl.create 8;
-      lock_origins = Hashtbl.create 8;
       shard_owned = Hashtbl.create 8;
       shard_epochs = Hashtbl.create 8;
       shard_hints = Hashtbl.create 16;

@@ -56,14 +56,6 @@ module Config : sig
             data, and covered reads are served from a requesting-site
             cache while the lock is held. Default off (the paper lists it
             as a further opportunity, not a measured feature). *)
-    lock_delegation : bool;
-        (** §5.2 optimization: a storage site may temporarily transfer
-            lock management for a file to a site whose processes dominate
-            its lock traffic; authority is recalled before prepare, data
-            access, or commit. Default off. *)
-    delegation_threshold : int;
-        (** consecutive remote lock requests from one site before
-            authority moves there *)
     prepare_log_per_file : bool;  (** footnote 10 ablation *)
     two_write_log : bool;  (** footnote 9 ablation *)
     replica_sync : bool;  (** propagate commits to replicas (§5.2) *)
@@ -97,9 +89,9 @@ module Config : sig
     shards : int;
         (** locus_shard dynamic lock placement: number of directory shards
             serving "who owns the lock-manager role for fid X" queries.
-            [0] (default) = static placement (storage-site lock tables,
-            optionally with §5.2 delegation). Mutually exclusive with
-            [lock_delegation]. *)
+            [0] (default) = static placement (storage-site lock tables).
+            With [shard_policy = Threshold n] this is also §5.2's transfer
+            of lock management to a site making heavy use of it. *)
     shard_policy : Locus_shard.Policy.t;
         (** when the lock-manager role chases the traffic: [Never], or
             [Threshold n] consecutive remote acquisitions from one site *)
@@ -148,8 +140,7 @@ module Config : sig
 
   val with_shards : shards:int -> ?policy:Locus_shard.Policy.t -> t -> t
   (** Enable locus_shard dynamic lock placement with [shards] directory
-      shards. Raises [Invalid_argument] when [shards <= 0] or
-      [lock_delegation] is on. *)
+      shards. Raises [Invalid_argument] when [shards <= 0]. *)
 
   val with_net_faults :
     ?drop:float -> ?dup:float -> ?reorder:int -> ?jitter_us:int -> t -> t
@@ -234,7 +225,8 @@ val lock_tables : cluster -> Lock_table.t list
 
 val lock_authority_hint : cluster -> File_id.t -> Site.t option
 (** Where clients believe lock management for the file currently lives
-    (§5.2 delegation); [None] means the storage site. *)
+    (the locus_shard owner it last heard of); [None] means the storage
+    site. *)
 
 val note_lock_authority : cluster -> File_id.t -> Site.t -> unit
 

@@ -63,8 +63,6 @@ type t =
       pos : int;
       len : int;
     }
-  | Delegate_locks of { fid : File_id.t; payload : string }
-  | Recall_locks of { fid : File_id.t }
   | Shard_lookup of { fid : File_id.t }
   | Shard_claim of { fid : File_id.t; new_owner : int; from_epoch : int }
   | Shard_migrate of { fid : File_id.t; epoch : int; payload : string }
@@ -173,8 +171,6 @@ let label = function
   | Replica_pull _ -> "replica-pull"
   | Replica_versions _ -> "replica-versions"
   | Replica_read _ -> "replica-read"
-  | Delegate_locks _ -> "delegate-locks"
-  | Recall_locks _ -> "recall-locks"
   | Shard_lookup _ -> "shard-lookup"
   | Shard_claim _ -> "shard-claim"
   | Shard_migrate _ -> "shard-migrate"
@@ -225,8 +221,6 @@ let rec pp ppf = function
   | Replica_versions { vid } -> Fmt.pf ppf "replica-versions vol%d" vid
   | Replica_read { fid; pos; len; _ } ->
     Fmt.pf ppf "replica-read %a@%d+%d" File_id.pp fid pos len
-  | Delegate_locks { fid; _ } -> Fmt.pf ppf "delegate-locks %a" File_id.pp fid
-  | Recall_locks { fid } -> Fmt.pf ppf "recall-locks %a" File_id.pp fid
   | Shard_lookup { fid } -> Fmt.pf ppf "shard-lookup %a" File_id.pp fid
   | Shard_claim { fid; new_owner; from_epoch } ->
     Fmt.pf ppf "shard-claim %a -> site%d from e%d" File_id.pp fid new_owner

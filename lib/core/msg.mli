@@ -101,13 +101,6 @@ type t =
       (** serve committed bytes from a local secondary copy; answered with
           [R_data], or [R_retry] when the copy is degraded and the primary
           is still reachable (caller should go there instead) *)
-  | Delegate_locks of { fid : File_id.t; payload : string }
-      (** home storage site hands lock management for [fid] to the target
-          site (§5.2 lock-control migration); payload = marshalled lock list *)
-  | Recall_locks of { fid : File_id.t }
-      (** home storage site takes lock management back (needed before
-          prepare or data access); delegate replies [R_data] with the
-          marshalled locks, or [R_retry] while it has waiters *)
   | Shard_lookup of { fid : File_id.t }
       (** ask the shard's directory site who owns the lock-manager role
           for [fid] now; answered with [R_owner] *)

@@ -1,9 +1,9 @@
 (* Migration policy: when does the lock-manager role chase the traffic?
    [Threshold n] moves it to a remote site after [n] consecutive
-   acquisitions from that site (the same streak rule as §5.2 delegation,
-   but with an epoch-fenced transfer instead of a recallable loan);
-   [Never] pins ownership at the default placement — the bench's "off"
-   row and a safe choice for uniformly spread traffic. *)
+   acquisitions from that site, by an epoch-fenced transfer — §5.2's
+   hand-over of lock management to a heavy user (E2d's "migrates" row);
+   [Never] pins ownership at the default placement — the benches' "off"
+   and "stays" rows and a safe choice for uniformly spread traffic. *)
 
 type t = Never | Threshold of int
 

@@ -55,7 +55,7 @@
 #      CI proves the oracle side with the explorer's --break health
 #      inversion.
 #
-# Usage: scripts/bench_gate.sh [exp ...]   (default: e4 e15 e16 e17 e18 e19 e20 e21)
+# Usage: scripts/bench_gate.sh [exp ...]   (default: e2 e4 e15 e16 e17 e18 e19 e20 e21)
 
 set -u
 
@@ -71,8 +71,8 @@ MAX_ALARM_WINDOWS=${MAX_ALARM_WINDOWS:-2}
 # the ~25x collapse LOCUS_BREAK=load inflicts.
 MIN_WALL_EPS=${MIN_WALL_EPS:-100000}
 BASELINES=${BASELINES:-bench/baselines}
-EXPS=("${@:-e4 e15 e16 e17 e18 e19 e20 e21}")
-[ $# -eq 0 ] && EXPS=(e4 e15 e16 e17 e18 e19 e20 e21)
+EXPS=("${@:-e2 e4 e15 e16 e17 e18 e19 e20 e21}")
+[ $# -eq 0 ] && EXPS=(e2 e4 e15 e16 e17 e18 e19 e20 e21)
 
 fail=0
 

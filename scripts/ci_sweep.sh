@@ -52,6 +52,9 @@ case "$lane" in
     x explore --seeds 200 --sites 4 --shards 8 --fault-every 3
     x explore --seeds 200 --sites 5 --shards 8 --fault-every 3 --commit paxos --paxos-f 1
     x explore --seeds 25 --sites 32 --shards 32 --txns 8 --fault-every 5
+    # E2d's shape: two sites, one directory shard, §5.2's transfer of
+    # lock management to the heavy user.
+    x explore --seeds 200 --sites 2 --shards 1 --fault-every 3
     must_fail explore --seeds 40 --sites 4 --shards 8 --fault-every 2 --break shard
     x shard-status --sites 8 --rounds 6
     ;;

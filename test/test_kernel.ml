@@ -558,10 +558,11 @@ let prefetch_tests =
 
 let suite = suite @ [ prefetch_tests ]
 
-(* §5.2 lock-control migration. *)
+(* §5.2 lock-control migration, by locus_shard's streak placement. *)
 
 let delegation_config n_sites =
-  { (K.Config.default ~n_sites) with K.Config.lock_delegation = true }
+  K.Config.with_shards ~shards:1 ~policy:(Locus_shard.Policy.Threshold 3)
+    (K.Config.default ~n_sites)
 
 let test_delegation_grants_locally () =
   let config = delegation_config 2 in
@@ -589,7 +590,7 @@ let test_delegation_grants_locally () =
         Alcotest.(check bool) "late locks much cheaper" true (late * 3 < early))
   in
   Alcotest.(check bool) "delegated" true
-    (L.Stats.get (L.Engine.stats sim.L.engine) "delegation.out" > 0)
+    (L.Stats.get (L.Engine.stats sim.L.engine) "shard.migrations" > 0)
 
 let test_delegation_still_enforces () =
   let config = delegation_config 3 in
@@ -645,8 +646,7 @@ let test_delegation_recalled_for_commit () =
   Alcotest.(check string) "committed through recall" "DELEGATED-WRITE!"
     (String.sub (oracle sim "/f") 0 16);
   let st = L.Engine.stats sim.L.engine in
-  Alcotest.(check bool) "was delegated" true (L.Stats.get st "delegation.out" > 0);
-  Alcotest.(check bool) "was recalled" true (L.Stats.get st "delegation.recalls" > 0);
+  Alcotest.(check bool) "was delegated" true (L.Stats.get st "shard.migrations" > 0);
   (* After commit, the lock is gone: an independent process gets it. *)
   let cl = sim.L.cluster in
   let ok = ref false in
