@@ -13,20 +13,32 @@
    same-destination messages coalesce into one [Msg.Batch].
 
    The JSON row per window carries the raw counters (coordinator-log
-   forces, total messages, commits) as extras, so scripts/bench_gate.sh
-   can assert the headline ratios: >= 2x fewer coordinator-log forces
-   and >= 1.5x fewer per-commit messages than window 0.
+   forces, total messages, commits) as extras, and [claims] asserts the
+   headline ratios over them.
 
    LOCUS_BREAK=batch disables all three optimisations at run time
-   (Mutant.Batch) while leaving the windows configured: the CI gate runs
-   e16 once with the mutant armed to prove the ratio check actually
-   fires. *)
+   (Mutant.Batch) while leaving the windows configured: `dune runtest`
+   runs e16 once with the mutant armed to prove the ratio claims fire. *)
 
 open Harness
 
 let n_writers = 8
 let rec_len = 64
 let windows = [ 0; 200; 500; 2000 ]
+let min_force_ratio = 2.0
+let min_msg_ratio = 1.5
+
+(* Some non-zero window cuts [key] by at least [ratio] against window 0. *)
+let fewer key ratio =
+  Gate.claim (Printf.sprintf "some window cuts %s %gx" key ratio) (fun rows ->
+      let v r = Gate.field r key and off = Gate.row "window 0" rows in
+      let on = List.filter (fun r -> Gate.field r "window_us" > 0.) rows in
+      Gate.verdict
+        (List.exists (fun r -> v r > 0. && v off >= ratio *. v r) on)
+        "%g vs %s" (v off)
+        (String.concat " " (List.map (fun r -> Printf.sprintf "%g" (v r)) on)))
+
+let claims = [ fewer "coord_forces" min_force_ratio; fewer "msgs_per_commit" min_msg_ratio ]
 
 type sample = {
   window : int;
@@ -181,7 +193,7 @@ let e16 () =
           ~span_us:s.span_us s.latencies)
       samples
   in
-  Jsonout.write ~exp:"e16" metrics;
+  Gate.publish ~exp:"e16" ~claims metrics;
   Tables.paper
     "not in the paper: batching is a post-hoc optimisation of the \
      reproduction's 2PC hot path; the paper's protocol semantics (forces \

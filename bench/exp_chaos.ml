@@ -20,6 +20,19 @@ let n_commits = 40
 let record_bytes = 100
 let rpc_timeout_us = 2_000_000
 
+let claims =
+  [
+    Gate.versus "lossy runs land all the clean run's commits" "drop" ~reference:"clean"
+      "commits" ( = );
+    Gate.claim "lossy runs inject faults"
+      (Gate.each "drop" (fun r ->
+           let f = Gate.field r "drops" +. Gate.field r "dups" in
+           Gate.verdict (f >= 1.) "%g drops+dups" f));
+    Gate.at_least "drop" "dedup_hits" 1.;
+    Gate.versus "lossy runs cost more messages per commit" "drop" ~reference:"clean"
+      "msgs_per_commit" ( > );
+  ]
+
 type sample = {
   label : string;
   latencies : int list;
@@ -105,7 +118,7 @@ let e19 () =
            string_of_int s.dedup_hits;
          ])
        samples);
-  Jsonout.write ~exp:"e19"
+  Gate.publish ~exp:"e19" ~claims
     (List.map
        (fun s ->
          Jsonout.metric

@@ -81,7 +81,7 @@ let e4 () =
     ~title:"E4 / Figure 6: measured commit performance (requesting site)"
     ~columns:[ "case"; "service time"; "latency"; "paper svc/lat" ]
     rows;
-  Jsonout.write ~exp:"e4" (List.rev !metrics);
+  Gate.publish ~exp:"e4" (List.rev !metrics);
   Tables.paper
     "overlap adds a moderate service-time cost locally and ~27 ms of latency \
      (the extra merged-page write); remote commits offload service to the \

@@ -7,16 +7,16 @@
       plane off and on (100 ms sampler window). The sampler is a
       scheduled closure that reads counters and histogram snapshots —
       it consumes no virtual time — so the measured virtual latencies
-      must come out identical; the table and the ±10% gate in
-      scripts/bench_gate.sh prove it. (Host-CPU cost exists but is the
+      must come out identical; the table and the ±10% claim below
+      prove it. (Host-CPU cost exists but is the
       point of the windowed design: a handful of counter reads per
       100 ms window.)
 
    2. Alarm latency. A coordinator dies between its durable 2PC decision
       and phase 2, stranding the participants in-doubt — the classic
       blocking window. The watchdog may only raise [in_doubt_age] once
-      the oldest in-doubt transaction crosses the age threshold; the
-      gate requires the alarm within two window closes of that
+      the oldest in-doubt transaction crosses the age threshold; a
+      claim requires the alarm within two window closes of that
       crossing. *)
 
 open Harness
@@ -27,6 +27,20 @@ module H = Locus_health
 let n_commits = 40
 let record_bytes = 100
 let window_us = 100_000
+let max_alarm_windows = 2.
+
+let claims =
+  [
+    Gate.versus
+      (Printf.sprintf "health-on p50 within %g%% of health-off" Gate.tolerance_pct)
+      "health on" ~reference:"health off" "p50_virtual_us" Gate.within_tolerance;
+    Gate.at_least "health on" "windows" 1.;
+    Gate.at_most "health" "alarms" 0.;
+    Gate.at_least "in_doubt_age alarm" "alarm_at_us" 0.;
+    Gate.at_least "in_doubt_age alarm" "blocked_participants" 1.;
+    Gate.at_least "in_doubt_age alarm" "alarm_latency_windows" 0.;
+    Gate.at_most "in_doubt_age alarm" "alarm_latency_windows" max_alarm_windows;
+  ]
 
 type sample = {
   label : string;
@@ -153,7 +167,7 @@ let e20 () =
         Printf.sprintf "%.2f" alarm_lat_windows;
       ];
     ];
-  Jsonout.write ~exp:"e20"
+  Gate.publish ~exp:"e20" ~claims
     [
       Jsonout.metric
         ~extras:

@@ -14,18 +14,38 @@
    2. Is the simulator fast enough to be the harness and not the
       bottleneck? The same runs are timed on the host clock and the
       dispatch rate (engine events per wall second) is reported as
-      [events_per_sec_wall]. That number is machine-dependent — the gate
-      (scripts/bench_gate.sh, MIN_WALL_EPS) only enforces a generous
-      floor, and CI proves the gate has teeth by re-running under
-      LOCUS_BREAK=load, which arms an O(queue-length) scan per
-      dispatched event in the engine: virtual results stay byte-identical
-      while the wall rate collapses, and the floor must catch it. *)
+      [events_per_sec_wall]. That number is machine-dependent — a claim
+      only enforces a generous floor ([min_wall_eps]), and `dune runtest`
+      proves the floor has teeth by re-running under LOCUS_BREAK=load,
+      which arms an O(queue-length) scan per dispatched event in the
+      engine: virtual results stay byte-identical while the wall rate
+      collapses, and the floor must catch it. *)
 
 module Ld = Locus_load
 
 let rates = [ 6.; 12.; 24.; 48. ]
 let duration_us = 3_000_000
 let seed = 42
+
+(* Host dispatch floor, events per wall second: ~1/5 of the rate measured
+   on a laptop-class core, generous for slow CI runners and far above the
+   ~25x collapse that LOCUS_BREAK=load inflicts. *)
+let min_wall_eps = 100_000.
+
+let claims =
+  let some name pred =
+    Gate.claim name (fun rows ->
+        let n = List.length (List.filter pred (Gate.with_prefix "rate" rows)) in
+        Gate.verdict (n >= 1) "%d rows" n)
+  in
+  [
+    some "a ladder row completes all it is offered" (fun r ->
+        Gate.field r "completed" = Gate.field r "offered");
+    some "a ladder row saturates (completed/s < offered/s / 2)" (fun r ->
+        Gate.field r "ops_per_sec" *. 2. < Gate.field r "offered_per_sec");
+    Gate.at_most "rate" "shed" 0.;
+    Gate.at_least "engine speed" "events_per_sec_wall" min_wall_eps;
+  ]
 
 let run_rate rate =
   let scenario =
@@ -76,7 +96,7 @@ let e21 () =
         Printf.sprintf "%.0f" wall_eps;
       ];
     ];
-  Jsonout.write ~exp:"e21"
+  Gate.publish ~exp:"e21" ~claims
     (List.map
        (fun (rate, ((r : Ld.Driver.report), _)) ->
          (* ops_per_sec / p50 are virtual-clock values: deterministic per
@@ -102,7 +122,7 @@ let e21 () =
        runs
     @ [
         (* The wall rate is host-dependent by nature: it rides as an
-           extra (ignored by the baseline diff) and only the MIN_WALL_EPS
+           extra (ignored by the baseline diff) and only the [min_wall_eps]
            floor gates it. ops_per_sec here is events per VIRTUAL second
            — deterministic, so the baseline comparison still covers the
            event count. *)

@@ -149,7 +149,7 @@ let e2 () =
   let row label ms =
     Jsonout.single ~label ~latency_us:(int_of_float (Float.round (ms *. 1000.))) ()
   in
-  Jsonout.write ~exp:"e2"
+  Gate.publish ~exp:"e2"
     [
       row "local" local;
       row "remote" remote;

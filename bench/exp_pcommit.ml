@@ -149,7 +149,7 @@ let e17 () =
           ~label:s.label ~span_us:s.span_us s.latencies)
       samples
   in
-  Jsonout.write ~exp:"e17" metrics;
+  Gate.publish ~exp:"e17" metrics;
   Tables.paper
     "not in the paper: Paxos Commit (Gray & Lamport 2004) replaces the \
      paper's blocking 2PC decision; same prepare and phase-2 mechanics, \

@@ -123,7 +123,7 @@ let e15 () =
          commits)
     ~columns:[ "copies"; "p50"; "p99"; "throughput" ]
     commit_rows;
-  Jsonout.write ~exp:"e15" (List.rev !metrics);
+  Gate.publish ~exp:"e15" (List.rev !metrics);
   Tables.paper
     "\xc2\xa75.2: reads may be served by any reachable copy while all \
      updates flow through the primary update site, which propagates \

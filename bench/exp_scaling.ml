@@ -88,7 +88,7 @@ let e12 () =
        growing cluster"
     ~columns:[ "sites"; "makespan"; "throughput"; "speedup vs 1 site" ]
     rows;
-  Jsonout.write ~exp:"e12" (List.rev !metrics);
+  Gate.publish ~exp:"e12" (List.rev !metrics);
   Tables.paper
     "an environment of many relatively small machines performs by achieving \
      considerable concurrency of data access and update — hence fine-grain \

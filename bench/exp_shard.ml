@@ -9,11 +9,11 @@
    streak and the same workload runs against the local lock table.
 
    The JSON rows carry the local-hit ratio (local grants over all
-   grants, measured phase only) and the migration count, so the perf
-   gate can assert that placement actually collapses the round trips —
-   and LOCUS_BREAK=shard runs the same bench with the stand-down
-   fault injected, which must drag the ratio back under the gate's
-   floor (the inversion that proves the gate has teeth). *)
+   grants, measured phase only) and the migration count, so [claims]
+   can assert that placement actually collapses the round trips — and
+   LOCUS_BREAK=shard runs the same bench with the stand-down fault
+   injected, which must drag the ratio back under the claim's floor
+   (the inversion that proves the claim has teeth). *)
 
 open Harness
 module Policy = Locus_shard.Policy
@@ -23,6 +23,20 @@ let n_keys = 8
 let rounds = 24
 let rec_len = 64
 let wake_at = 5_000_000
+let min_local_hit = 0.6
+let max_static_hit = 0.2
+let max_p50_fraction = 0.6
+
+let claims =
+  [
+    Gate.at_least "placement on" "local_hit_ratio" min_local_hit;
+    Gate.at_most "placement off" "local_hit_ratio" max_static_hit;
+    Gate.at_least "placement on" "migrations" 1.;
+    Gate.versus
+      (Printf.sprintf "lock p50 with placement <= %gx without" max_p50_fraction)
+      "placement on" ~reference:"placement off" "p50_virtual_us" (fun on off ->
+        on <= off *. max_p50_fraction);
+  ]
 
 type sample = {
   label : string;
@@ -160,7 +174,7 @@ let e18 () =
           ~label:s.label ~span_us:s.span_us s.latencies)
       samples
   in
-  Jsonout.write ~exp:"e18" metrics;
+  Gate.publish ~exp:"e18" ~claims metrics;
   Tables.paper
     "not in the paper: §5.2 stops at a temporary transfer of lock \
      control to a heavy user (E2d, one shard); locus_shard makes the \

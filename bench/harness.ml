@@ -15,26 +15,17 @@ let run_proc sim ~site f =
 let stats sim = L.Engine.stats sim.L.engine
 let now sim = L.Engine.now sim.L.engine
 
-(* Total disk I/Os across every volume of the cluster. *)
-let io_counts sim =
-  let reads = ref 0 and writes = ref 0 and logs = ref 0 in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun vol ->
-          reads := !reads + Locus_disk.Volume.io_reads vol;
-          writes := !writes + Locus_disk.Volume.io_writes vol;
-          logs := !logs + Locus_disk.Volume.io_log_writes vol)
-        (Locus_fs.Filestore.volumes (K.filestore k)))
-    (K.kernels sim.L.cluster);
-  (!reads, !writes, !logs)
+(* Every volume of the cluster, and the disk I/Os across them. *)
+let volumes sim =
+  List.concat_map (fun k -> Locus_fs.Filestore.volumes (K.filestore k)) (K.kernels sim.L.cluster)
 
-let reset_io sim =
-  List.iter
-    (fun k ->
-      List.iter Locus_disk.Volume.reset_io_counters
-        (Locus_fs.Filestore.volumes (K.filestore k)))
-    (K.kernels sim.L.cluster)
+let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
+
+let io_counts sim =
+  let vs = volumes sim in
+  Locus_disk.Volume.(sum io_reads vs, sum io_writes vs, sum io_log_writes vs)
+
+let reset_io sim = List.iter Locus_disk.Volume.reset_io_counters (volumes sim)
 
 (* Install a span collector on a fresh sim; harvest its per-phase
    histograms with [phase_breakdown] after the run. Spans consume no

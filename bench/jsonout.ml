@@ -1,7 +1,8 @@
 (* Machine-readable experiment results. An experiment that calls [write]
    drops a BENCH_<exp>.json in the working directory with throughput and
    virtual-latency percentiles per measured case, so CI and scripts can
-   trend results without scraping the human tables. The JSON is
+   trend results without scraping the human tables; [read] parses the
+   same format back for the claim checks in [Gate]. The JSON is
    hand-formatted: the harness deliberately carries no serialization
    dependency. *)
 
@@ -23,8 +24,8 @@ type metric = {
   phases : phase list;  (** optional per-phase breakdown; often empty *)
   extras : (string * float) list;
       (** experiment-specific scalar fields, emitted verbatim as extra
-          JSON keys on the metric object (e.g. ["coord_forces"]) so gate
-          scripts can check them with jq; often empty *)
+          JSON keys on the metric object (e.g. ["coord_forces"]) so an
+          experiment's claims can check them; often empty *)
 }
 
 let percentile latencies p =
@@ -113,3 +114,25 @@ let write ~exp metrics =
         metrics;
       pf "  ]\n}\n");
   Fmt.pr "(wrote %s)@." file
+
+(* A metric as read back: its label and every numeric field under the
+   key [write] gave it ("ops_per_sec", "p50_virtual_us", the extras),
+   with the printed rounding, so a check judges the published numbers. *)
+type row = { row_label : string; fields : (string * float) list }
+
+(* [write] prints one metric per line: the label first, then the numeric
+   fields up to the closing brace or the phases list. *)
+let read file =
+  let metric line =
+    let ib = Scanf.Scanning.from_string line in
+    let rec fields acc =
+      match Scanf.bscanf ib ", %S: %[^,}\n]" (fun k v -> (k, float_of_string v)) with
+      | kv -> fields (kv :: acc)
+      | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> List.rev acc
+    in
+    match Scanf.bscanf ib " {\"label\": %S" Fun.id with
+    | row_label -> Some { row_label; fields = fields [] }
+    | exception (Scanf.Scan_failure _ | End_of_file) -> None
+  in
+  In_channel.with_open_bin file In_channel.input_all
+  |> String.split_on_char '\n' |> List.filter_map metric

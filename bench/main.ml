@@ -4,7 +4,9 @@
 
      dune exec bench/main.exe            # run everything
      dune exec bench/main.exe -- e3 e4   # selected experiments
-     LOCUS_BREAK=batch dune exec bench/main.exe -- e16   # mutant armed *)
+     LOCUS_BREAK=batch dune exec bench/main.exe -- e16   # mutant armed
+
+   Exit code 1: a claim failed (see [Gate]); 2: an unknown name. *)
 
 let experiments =
   [
@@ -28,7 +30,6 @@ let experiments =
     ("e19", "locus_chaos: record commit over a lossy network", Exp_chaos.e19);
     ("e20", "locus_health: health plane overhead + alarm latency", Exp_health.e20);
     ("e21", "locus_load: offered-load ladder + engine dispatch speed", Exp_load.e21);
-    ("micro", "bechamel microbenchmarks", Micro.run);
   ]
 
 let () =
@@ -43,6 +44,10 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map (fun (n, _, _) -> n) experiments
   in
+  let lookup name = List.find_opt (fun (n, _, _) -> n = name) experiments in
+  List.iter
+    (fun n -> if lookup n = None then (Fmt.epr "unknown experiment %S@." n; exit 2))
+    requested;
   Fmt.pr
     "Locus transactions reproduction - experiment harness@.\
      (virtual 1985 hardware: 0.5 MIPS CPU, 10 Mb Ethernet, ~25 ms disk)@.";
@@ -50,10 +55,9 @@ let () =
   Mutant.with_armed mutants @@ fun () ->
   List.iter
     (fun name ->
-      match List.find_opt (fun (n, _, _) -> n = name) experiments with
-      | Some (_, desc, f) ->
-        Fmt.pr "@.=== %s: %s ===@." (String.uppercase_ascii name) desc;
-        f ()
-      | None -> Fmt.epr "unknown experiment %S@." name)
+      let _, desc, f = Option.get (lookup name) in
+      Fmt.pr "@.=== %s: %s ===@." (String.uppercase_ascii name) desc;
+      f ())
     requested;
-  Fmt.pr "@.done.@."
+  Fmt.pr "@.done.@.";
+  if !Gate.failures > 0 then (Fmt.epr "bench: %d claim(s) failed@." !Gate.failures; exit 1)

@@ -45,15 +45,15 @@ type t = {
   mutable cpu_site : int ref option array;  (* interned per-site counters *)
 }
 
-(* The [Mutant.Load] self-test of the CI wall-clock gate
+(* The [Mutant.Load] self-test of the bench's wall-clock claim
    (LOCUS_BREAK=load in the bench harness): burn O(pending-events) work
    per dispatched event, turning the O(log n) loop quadratic. Virtual-time
    results are untouched — only host throughput collapses, which is
-   exactly what the events/s floor in scripts/bench_gate.sh must catch. *)
+   exactly what e21's events/s floor (bench/exp_load.ml) must catch. *)
 let break_scan t =
   (* The constant keeps the collapse visible even when the pending queue
      is short (open-loop runs hold tens of events, not thousands): the
-     wall rate must fall far enough below any sane MIN_WALL_EPS floor
+     wall rate must fall far enough below any sane events/s floor
      that the inverted self-test can never squeak through. *)
   let n = 2048 + (256 * Pqueue.length t.events) in
   let s = ref 0 in
