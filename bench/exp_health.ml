@@ -135,9 +135,9 @@ let e20 () =
   let kill_at, threshold, alarm_at, blocked = run_alarm_scenario () in
   let crossing_us = kill_at + threshold in
   let alarm_lat_windows =
-    match alarm_at with
-    | None -> Float.infinity
-    | Some at -> float_of_int (at - crossing_us) /. float_of_int window_us
+    Option.map
+      (fun at -> float_of_int (at - crossing_us) /. float_of_int window_us)
+      alarm_at
   in
   Tables.print_table
     ~title:
@@ -164,7 +164,9 @@ let e20 () =
         Tables.ms kill_at;
         Tables.ms threshold;
         (match alarm_at with None -> "NEVER" | Some at -> Tables.ms at);
-        Printf.sprintf "%.2f" alarm_lat_windows;
+        (match alarm_lat_windows with
+        | None -> "-"
+        | Some w -> Printf.sprintf "%.2f" w);
       ];
     ];
   Gate.publish ~exp:"e20" ~claims
@@ -185,16 +187,20 @@ let e20 () =
         ~label:on_.label ~span_us:on_.span_us on_.latencies;
       Jsonout.single
         ~extras:
-          [
-            ("decision_at_us", float_of_int kill_at);
-            ("threshold_us", float_of_int threshold);
-            ( "alarm_at_us",
-              match alarm_at with
-              | None -> -1.
-              | Some at -> float_of_int at );
-            ("alarm_latency_windows", alarm_lat_windows);
-            ("blocked_participants", float_of_int blocked);
-          ]
+          ([
+             ("decision_at_us", float_of_int kill_at);
+             ("threshold_us", float_of_int threshold);
+             ( "alarm_at_us",
+               match alarm_at with
+               | None -> -1.
+               | Some at -> float_of_int at );
+           ]
+          (* No alarm, no latency: the claims over it then fail as
+             missing. *)
+          @ (match alarm_lat_windows with
+            | None -> []
+            | Some w -> [ ("alarm_latency_windows", w) ])
+          @ [ ("blocked_participants", float_of_int blocked) ])
         ~label:"in_doubt_age alarm"
         ~latency_us:
           (match alarm_at with None -> 0 | Some at -> at - crossing_us)

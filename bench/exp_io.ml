@@ -1,5 +1,7 @@
-(* E3 — Figure 5: transaction I/O overhead, with the footnote 9 and 10
-   ablations and the async-phase-2 latency ablation. *)
+(* E3 — Figure 5: transaction I/O overhead, with the footnote 9 ablation
+   and the async-phase-2 latency ablation. Footnote 10 (one prepare log
+   per volume, not per file) is the unit test txn.participant/per-file
+   log. *)
 
 open Harness
 
@@ -19,8 +21,7 @@ let inode_versions sim =
 (* Run one transaction updating [pages_per_file] pages in each of
    [n_files] files (each file on its own volume when [n_volumes] > 1);
    return the I/O breakdown attributable to the transaction. *)
-let run_txn ?(two_write_log = false) ?(per_file_log = false) ?(async_phase2 = true)
-    ~n_files ~pages_per_file () =
+let run_txn ?(two_write_log = false) ?(async_phase2 = true) ~n_files ~pages_per_file () =
   let n_sites = 2 in
   let volumes =
     (* Volume 0 at site 0 (coordinator log), data volumes at site 1. *)
@@ -31,9 +32,7 @@ let run_txn ?(two_write_log = false) ?(per_file_log = false) ?(async_phase2 = tr
       (K.Config.default ~n_sites) with
       K.Config.volumes;
       two_write_log;
-      prepare_log_per_file = per_file_log;
       async_phase2;
-      replica_sync = false;
     }
   in
   let sim = fresh ~config ~n_sites () in
@@ -152,10 +151,6 @@ let e3 () =
      per log append. *)
   let fixed = run_txn ~n_files:1 ~pages_per_file:1 () in
   let double = run_txn ~two_write_log:true ~n_files:1 ~pages_per_file:1 () in
-  (* Footnote 10 ablation: one prepare log per file instead of per volume:
-     visible only with several files on one volume. *)
-  let per_vol = run_txn ~n_files:1 ~pages_per_file:1 () in
-  ignore per_vol;
   let log_total c = c.coord_logs + c.prepare_logs in
   Tables.print_table ~title:"E3b ablation: footnote 9 (two writes per log append)"
     ~columns:[ "configuration"; "log I/Os"; "client latency" ]

@@ -83,7 +83,18 @@ let escape s =
     s;
   Buffer.contents b
 
+(* JSON has no infinity or NaN: a non-finite value is a bug in the
+   experiment that computed it, caught before the file is written. *)
 let write ~exp metrics =
+  let finite what v =
+    if not (Float.is_finite v) then
+      invalid_arg (Printf.sprintf "Jsonout.write %s: %s is %g" exp what v)
+  in
+  List.iter
+    (fun m ->
+      finite (m.label ^ " ops_per_sec") m.ops_per_sec;
+      List.iter (fun (k, v) -> finite (m.label ^ " " ^ k) v) m.extras)
+    metrics;
   let file = Printf.sprintf "BENCH_%s.json" exp in
   Out_channel.with_open_text file (fun oc ->
       let pf fmt = Printf.fprintf oc fmt in
@@ -121,12 +132,18 @@ let write ~exp metrics =
 type row = { row_label : string; fields : (string * float) list }
 
 (* [write] prints one metric per line: the label first, then the numeric
-   fields up to the closing brace or the phases list. *)
+   fields up to the closing brace or the phases list. A value that is
+   not a finite JSON number ends the row's fields there. *)
 let read file =
+  let number v =
+    match float_of_string_opt v with
+    | Some f when Float.is_finite f -> f
+    | _ -> failwith "not a JSON number"
+  in
   let metric line =
     let ib = Scanf.Scanning.from_string line in
     let rec fields acc =
-      match Scanf.bscanf ib ", %S: %[^,}\n]" (fun k v -> (k, float_of_string v)) with
+      match Scanf.bscanf ib ", %S: %[^,}\n]" (fun k v -> (k, number v)) with
       | kv -> fields (kv :: acc)
       | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> List.rev acc
     in

@@ -42,36 +42,11 @@ let seed_arg =
 
 let trace_arg =
   Arg.(
-    value & opt (some string) None
-    & info [ "trace" ] ~docv:"CATS"
+    value & flag
+    & info [ "trace" ]
         ~doc:
-          "Enable execution tracing and print the tail of the trace. CATS is \
-           'all' or a comma list of net,disk,lock,txn,proc,fs,recovery.")
-
-let setup_trace sim = function
-  | None -> ()
-  | Some spec ->
-    let categories =
-      if spec = "all" then None
-      else
-        Some
-          (List.filter_map Trace.category_of_string
-             (String.split_on_char ',' spec))
-    in
-    (match categories with
-    | None -> Trace.enable (L.Engine.trace sim.L.engine)
-    | Some cats -> Trace.enable ~categories:cats (L.Engine.trace sim.L.engine))
-
-let dump_trace sim = function
-  | None -> ()
-  | Some _ ->
-    let tr = L.Engine.trace sim.L.engine in
-    Fmt.pr "@.--- trace (most recent %d events%s) ---@."
-      (List.length (Trace.events tr))
-      (match Trace.dropped tr with
-      | 0 -> ""
-      | n -> Printf.sprintf ", %d older dropped" n);
-    Fmt.pr "%a" Trace.dump tr
+          "Print every observable event (lock, commit, abort, ...) as the \
+           kernel emits it.")
 
 let sites_arg =
   Arg.(value & opt int 3 & info [ "sites" ] ~docv:"N" ~doc:"Number of sites.")
@@ -250,7 +225,9 @@ let chaos_cmd =
 
 let deadlock seed sites cycle trace expect_resolved =
   let sim = L.make ~seed ~n_sites:sites () in
-  setup_trace sim trace;
+  (* The kernel's typed event stream, printed as it happens: nothing is
+     buffered, so nothing is truncated. *)
+  if trace then K.set_observer sim.L.cluster (Some (Fmt.pr "%a@." Locus_core.Obs.pp));
   ignore
     (Api.spawn_process sim.L.cluster ~site:0 ~name:"main" (fun env ->
          let c = Api.creat env "/r" ~vid:1 in
@@ -283,7 +260,6 @@ let deadlock seed sites cycle trace expect_resolved =
   print_summary sim;
   Fmt.pr "@.--- kernel state (§3.1 interface) ---@.";
   Fmt.pr "%a" Locus_core.Kinfo.pp (Locus_core.Kinfo.snapshot sim.L.cluster);
-  dump_trace sim trace;
   if expect_resolved then begin
     let stats = L.Engine.stats sim.L.engine in
     let get k = L.Stats.get stats k in

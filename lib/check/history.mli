@@ -1,8 +1,8 @@
 (** Per-run execution history: an append-only record of the cluster's
     {!Locus_core.Obs} events.
 
-    Unlike the {!Locus_sim.Trace} debugging ring this recorder never
-    drops events — the serializability checker needs the complete run.
+    The recorder never drops events — the serializability checker needs
+    the complete run.
     Because the simulation is deterministic, a history is a pure function
     of (seed, program): re-running the same workload reproduces it
     bit-for-bit. *)

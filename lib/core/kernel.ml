@@ -51,9 +51,7 @@ module Config = struct
     cache_pages : int;
     lock_cache : bool;
     prefetch : bool;
-    prepare_log_per_file : bool;
     two_write_log : bool;
-    replica_sync : bool;
     async_phase2 : bool;
     deadlock_patience_us : int;
     deadlock_policy : Locus_deadlock.Detector.policy;
@@ -93,9 +91,7 @@ module Config = struct
       cache_pages = 128;
       lock_cache = true;
       prefetch = false;
-      prepare_log_per_file = false;
       two_write_log = false;
-      replica_sync = true;
       async_phase2 = true;
       deadlock_patience_us = 3_000_000;
       deadlock_policy = Locus_deadlock.Detector.Youngest_transaction;
@@ -287,9 +283,6 @@ let costs k = Engine.costs k.engine
 let stats k = Engine.stats k.engine
 let sharded cl = cl.shard_dir <> None
 
-let tr k cat fmt =
-  Trace.emitf (Engine.trace k.engine) ~at:(Engine.now k.engine) ~cat ~site:k.site fmt
-
 (* {1 History observation (Locus_check)} *)
 
 let set_observer cl sink = cl.observer <- sink
@@ -396,54 +389,37 @@ let rid_done k (rid : Msg.rid) = Hashtbl.remove k.rid_outstanding rid.r_seq
 
 let rpc_error e = Msg.R_err (Fmt.str "%a" Transport.pp_error e)
 
-let rpc cl ~src ~dst msg =
-  match cl.cfg.Config.net_faults with
-  | Some _ when src <> dst ->
-    let k = cl.ks.(src) in
-    let rid = rid_alloc k in
-    let env = envelope cl ~rid msg in
-    let p = cl.cfg.Config.retries.Config.rpc in
-    let r =
-      match
-        Transport.rpc_retry ~attempts:p.Config.attempts
-          ~backoff_us:p.Config.backoff_us ~cap_us:p.Config.cap_us cl.net ~src
-          ~dst env
-      with
-      | Ok r -> r
-      | Error e -> rpc_error e
-    in
-    rid_done k rid;
-    r
-  | Some _ | None -> (
-    match Transport.rpc cl.net ~src ~dst (envelope cl msg) with
-    | Ok r -> r
-    | Error e -> rpc_error e)
+(* Transport retry calls under a [Config.retry] profile — the single
+   source of truth replacing the per-callsite magic numbers the protocol
+   loops used to carry. *)
+let rpc_retry_p ?(batched = false) ?retry_if cl (p : Config.retry) ~src ~dst env =
+  (if batched then Transport.rpc_retry_batched else Transport.rpc_retry)
+    ?retry_if ~attempts:p.Config.attempts ~backoff_us:p.Config.backoff_us
+    ~cap_us:p.Config.cap_us cl.net ~src ~dst env
 
-(* Commit hot path variant: joins the RPC batch window when
-   [Config.rpc_batch_window_us] is on, identical to {!rpc} otherwise.
-   Only messages that are independent of each other may travel through
-   here (prepares, phase-2 notifications, replica deltas): a batch is
-   processed sequentially at the destination. *)
-let rpc_hot cl ~src ~dst msg =
+(* [batched] joins the RPC batch window when [Config.rpc_batch_window_us]
+   is on, and is the plain call otherwise. Only messages that are
+   independent of each other may be batched (prepares, phase-2
+   notifications, replica deltas): a batch is processed sequentially at
+   the destination. *)
+let rpc ?(batched = false) cl ~src ~dst msg =
   match cl.cfg.Config.net_faults with
   | Some _ when src <> dst ->
     let k = cl.ks.(src) in
     let rid = rid_alloc k in
     let env = envelope cl ~rid msg in
-    let p = cl.cfg.Config.retries.Config.rpc in
     let r =
-      match
-        Transport.rpc_retry_batched ~attempts:p.Config.attempts
-          ~backoff_us:p.Config.backoff_us ~cap_us:p.Config.cap_us cl.net ~src
-          ~dst env
-      with
+      match rpc_retry_p ~batched cl cl.cfg.Config.retries.Config.rpc ~src ~dst env with
       | Ok r -> r
       | Error e -> rpc_error e
     in
     rid_done k rid;
     r
   | Some _ | None -> (
-    match Transport.rpc_batched cl.net ~src ~dst (envelope cl msg) with
+    match
+      (if batched then Transport.rpc_batched else Transport.rpc)
+        cl.net ~src ~dst (envelope cl msg)
+    with
     | Ok r -> r
     | Error e -> rpc_error e)
 
@@ -455,19 +431,6 @@ let rpc_env cl ~src ~dst env =
   match Transport.rpc cl.net ~src ~dst env with
   | Ok r -> r
   | Error e -> rpc_error e
-
-(* Transport retry calls under a [Config.retry] profile — the single
-   source of truth replacing the per-callsite magic numbers the protocol
-   loops used to carry. *)
-let rpc_retry_p ?retry_if cl (p : Config.retry) ~src ~dst env =
-  Transport.rpc_retry ?retry_if ~attempts:p.Config.attempts
-    ~backoff_us:p.Config.backoff_us ~cap_us:p.Config.cap_us cl.net ~src ~dst
-    env
-
-let rpc_retry_batched_p ?retry_if cl (p : Config.retry) ~src ~dst env =
-  Transport.rpc_retry_batched ?retry_if ~attempts:p.Config.attempts
-    ~backoff_us:p.Config.backoff_us ~cap_us:p.Config.cap_us cl.net ~src ~dst
-    env
 
 (* {1 Paxos Commit plumbing} *)
 
@@ -615,8 +578,6 @@ let deadlock_scan cl ~src =
   List.iter
     (fun victim ->
       Stats.incr (Engine.stats cl.c_engine) "deadlock.victims";
-      Trace.emitf (Engine.trace cl.c_engine) ~at:(Engine.now cl.c_engine)
-        ~cat:Trace.Lock ~site:src "deadlock victim %a" Owner.pp victim;
       match victim with
       | Owner.Transaction txid ->
         !abort_transaction_ref cl ~reason:Deadlock ~src txid
@@ -637,13 +598,9 @@ let grant_lock k ~fid ~owner ~pid ~mode ~range ~non_transaction ~wait =
   match Lock_table.request table ~owner ~pid ~mode ~range ~non_transaction with
   | `Granted ->
     apply_rule2 k table fid ~owner ~range;
-    tr k Trace.Lock "grant %a %a %a %a" File_id.pp fid Owner.pp owner Mode.pp mode
-      Byte_range.pp range;
     obs_granted ();
     `Granted
   | `Conflict owners ->
-    tr k Trace.Lock "conflict %a %a blocked by %a" File_id.pp fid Owner.pp owner
-      Fmt.(list ~sep:comma Owner.pp) owners;
     if not wait then `Conflict owners
     else begin
       Stats.incr (stats k) "lock.waits";
@@ -978,8 +935,6 @@ let shard_migrate k fid ~dst =
             (envelope cl (Msg.Shard_migrate { fid; epoch = new_epoch; payload }))
         with
         | Ok Msg.R_ok ->
-          tr k Trace.Lock "shard migrate %a -> site%d e%d" File_id.pp fid dst
-            new_epoch;
           Hashtbl.remove k.shard_origins fid;
           if Mutant.(armed Shard) then
             (* Self-test fault: fail to stand down — keep the table and
@@ -1478,10 +1433,7 @@ let replica_snapshot k fid =
    would make every secondary read fail over to the primary and hide the
    staleness the checker is supposed to catch). *)
 let propagate_replicas k ?indices ?(initial = false) fid =
-  if
-    k.cl.cfg.Config.replica_sync
-    && ((not Mutant.(armed Repl)) || initial)
-    && Filestore.file_exists k.store fid
+  if ((not Mutant.(armed Repl)) || initial) && Filestore.file_exists k.store fid
   then begin
     let others = List.filter (fun s -> s <> k.site) (replica_sites k.cl fid) in
     if others <> [] then begin
@@ -1512,7 +1464,7 @@ let propagate_replicas k ?indices ?(initial = false) fid =
               ]
           @@ fun () ->
           match
-            rpc_retry_batched_p k.cl k.cl.cfg.Config.retries.Config.replica
+            rpc_retry_p ~batched:true k.cl k.cl.cfg.Config.retries.Config.replica
               ~src:k.site ~dst
               (envelope k.cl (Msg.Replica_commit { update = u }))
           with
@@ -1597,7 +1549,6 @@ let rec reconcile k ~vid ~gen tries =
         others;
       if !complete && live () then begin
         Status.refresh k.repl vid;
-        tr k Trace.Recovery "replica vol%d reconciled, fresh again" vid;
         Stats.incr (stats k) "replica.reconcile_passes"
       end
       else retry ()
@@ -1854,7 +1805,6 @@ let () =
 (* Local sweep used by Abort_phase2: roll back everything this site holds
    for the transaction, prepared or not. *)
 let ss_abort2 k ~txid ~files =
-  tr k Trace.Txn "phase2 abort %a" Txid.pp txid;
   leave_doubt k txid;
   let owner = Owner.Transaction txid in
   let prepared_before = Participant.prepared_files k.participant txid in
@@ -1891,7 +1841,6 @@ let ss_abort2 k ~txid ~files =
       (List.sort_uniq File_id.compare (files @ prepared_before))
 
 let ss_commit2 k ~txid ~files =
-  tr k Trace.Txn "phase2 commit %a" Txid.pp txid;
   leave_doubt k txid;
   let owner = Owner.Transaction txid in
   let prepared = Participant.prepared_files k.participant txid in
@@ -1951,7 +1900,7 @@ let cast_paxos_vote k ~txid ~coordinator_site ~f ~participants vote =
   let offer a () =
     if Transport.reachable cl.net k.site a then
       match
-        rpc_hot cl ~src:k.site ~dst:a
+        rpc ~batched:true cl ~src:k.site ~dst:a
           (Msg.Vote_2a { txid; participant = k.site; vote; ballot = 0; participants })
       with
       | Msg.R_vote_2b v when v = vote -> incr registered
@@ -1987,7 +1936,7 @@ let pcommit_read_decision k ~txid ~f ~hint =
     par_iter k ~name:"pcommit-query"
       (List.mapi
          (fun i a () ->
-           match rpc_hot cl ~src:k.site ~dst:a (Msg.Decision_query { txid }) with
+           match rpc ~batched:true cl ~src:k.site ~dst:a (Msg.Decision_query { txid }) with
            | Msg.R_decision { participants; votes } ->
              results.(i) <- Some (participants, votes)
            | _ -> ())
@@ -2056,7 +2005,7 @@ let pcommit_forget k ~txid =
       (List.map
          (fun a () ->
            if Transport.reachable cl.net k.site a then
-             ignore (rpc_hot cl ~src:k.site ~dst:a (Msg.Acceptor_forget { txid })))
+             ignore (rpc ~batched:true cl ~src:k.site ~dst:a (Msg.Acceptor_forget { txid })))
          accs)
 
 (* Participant-side resolver: a prepared transaction whose coordinator is
@@ -2074,14 +2023,12 @@ let pcommit_resolve k ~txid ~f =
     | `Commit ->
       if Participant.is_prepared k.participant txid then begin
         Stats.incr (stats k) "pcommit.resolved_commit";
-        tr k Trace.Txn "pcommit resolve %a -> commit" Txid.pp txid;
         obs k (Obs.Commit { txid });
         ss_commit2 k ~txid ~files:[]
       end
     | `Abort ->
       if Participant.is_prepared k.participant txid then begin
         Stats.incr (stats k) "pcommit.resolved_abort";
-        tr k Trace.Txn "pcommit resolve %a -> abort" Txid.pp txid;
         count_abort cl Coordinator_lost;
         obs k (Obs.Abort { txid });
         ss_abort2 k ~txid ~files:[]
@@ -2090,7 +2037,7 @@ let pcommit_resolve k ~txid ~f =
       (* Leave the prepared state (and the gauge) in place: the liveness
          checker reports us as blocked, which is exactly what an
          unlearnable decision means. *)
-      tr k Trace.Txn "pcommit resolve %a -> unknown (giving up)" Txid.pp txid
+      ()
   end
 
 (* Two-phase commit, driven from the coordinator site (§4.2). *)
@@ -2126,7 +2073,6 @@ let commit_transaction k (txn : Txn_state.txn) =
         |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
       in
       (* Step 1 (Figure 5): the coordinator log, status unknown. *)
-      tr k Trace.Txn "2pc begin %a (%d files)" Txid.pp txid (List.length files);
       with_span k ~cat:"txn" "coord_log.write" (fun () ->
           Coord_log.begin_commit k.coord ~txid ~files;
           cl.hooks.on_coord_log_written txid);
@@ -2154,7 +2100,7 @@ let commit_transaction k (txn : Txn_state.txn) =
                    @@ fun () ->
                    let vote =
                      match
-                       rpc_hot cl ~src:k.site ~dst:s
+                       rpc ~batched:true cl ~src:k.site ~dst:s
                          (Msg.Prepare
                             {
                               txid;
@@ -2218,14 +2164,11 @@ let commit_transaction k (txn : Txn_state.txn) =
            prepared and will learn the outcome from the acceptors (or our
            own recovery will finish the job). The client sees an abort —
            it must not assume durability that was never established. *)
-        tr k Trace.Txn "2pc undecided %a (acceptor quorum unreachable)" Txid.pp
-          txid;
         Aborted
       | Some all_prepared ->
       let status : Log_record.status =
         if all_prepared then Log_record.Committed else Log_record.Aborted
       in
-      tr k Trace.Txn "2pc decide %a %a" Txid.pp txid Log_record.pp_status status;
       (* The outcome event must be recorded at the decision point itself,
          before any injected crash, or the checker would misclassify a
          durably committed transaction as unresolved. *)
@@ -2242,7 +2185,7 @@ let commit_transaction k (txn : Txn_state.txn) =
               else Msg.Abort_phase2 { txid; files = fs }
             in
             match
-              rpc_retry_batched_p cl cl.cfg.Config.retries.Config.phase2
+              rpc_retry_p ~batched:true cl cl.cfg.Config.retries.Config.phase2
                 ~retry_if:(fun r -> r <> Msg.R_ok)
                 ~src:k.site ~dst:s (envelope cl msg)
             with
@@ -2635,7 +2578,6 @@ let rec handle_msg k ~src msg =
   let open Msg in
   if not k.alive then R_err "site down"
   else begin
-    tr k Trace.Net "<- site%d: %a" src Msg.pp msg;
     try
       match msg with
       | Ping -> R_ok
@@ -2815,7 +2757,6 @@ let rec handle_msg k ~src msg =
           R_retry)
       | Proc_arrive { payload } ->
         let m : migration = Marshal.from_string payload 0 in
-        tr k Trace.Proc "process %a arrives" Pid.pp m.m_proc.Process.pid;
         m.m_proc.Process.status <- Process.Running;
         m.m_proc.Process.site <- k.site;
         Proc_table.insert k.procs m.m_proc;
@@ -3217,7 +3158,6 @@ and handle k ~src (env : Msg.env) =
 (* {1 Crash, restart, recovery (§4.3-4.4)} *)
 
 let kernel_crash k =
-  tr k Trace.Recovery "crash";
   k.alive <- false;
   k.recovered <- false;
   Status.clear k.repl;
@@ -3285,7 +3225,6 @@ let relock_prepared k txid =
 let recover k =
   with_span k ~cat:"recovery" "recovery" @@ fun () ->
   let cl = k.cl in
-  tr k Trace.Recovery "recovery starts";
   (* Acceptor pass first: replay registered Paxos Commit votes, so this
      site can answer Vote_2a / Decision_query again before anything that
      might depend on the acceptor quorum (including our own passes). *)
@@ -3299,7 +3238,6 @@ let recover k =
      never resolve. (Remote coordinators replaying concurrently bounce on
      the [par_ready] gate for the same reason.) *)
   let in_doubt = Participant.recover k.participant in
-  tr k Trace.Recovery "participant: %d in doubt" (List.length in_doubt);
   List.iter
     (fun (txid, _) ->
       (* Under dynamic placement the relocks below land in local tables:
@@ -3316,7 +3254,6 @@ let recover k =
   k.par_ready <- true;
   (* Coordinator pass: finish or abort every transaction in the log. *)
   let records = Coord_log.scan k.coord in
-  tr k Trace.Recovery "coordinator log: %d records" (List.length records);
   List.iter
     (fun (c : Log_record.coordinator) ->
       let txid = c.Log_record.txid in
@@ -3661,7 +3598,6 @@ let make engine cfg =
         Filestore.mount store vol)
       hosted;
     let participant = Participant.create store in
-    Participant.set_prepare_log_per_file participant cfg.Config.prepare_log_per_file;
     let log_vol =
       match hosted with
       | vid :: _ -> Option.get (Filestore.volume store ~vid)

@@ -56,9 +56,7 @@ module Config : sig
             data, and covered reads are served from a requesting-site
             cache while the lock is held. Default off (the paper lists it
             as a further opportunity, not a measured feature). *)
-    prepare_log_per_file : bool;  (** footnote 10 ablation *)
     two_write_log : bool;  (** footnote 9 ablation *)
-    replica_sync : bool;  (** propagate commits to replicas (§5.2) *)
     async_phase2 : bool;
         (** paper behaviour: phase-2 commit messages are sent by a kernel
             process after the client resumes (§4.2); [false] = synchronous
@@ -208,9 +206,9 @@ val replica_sites : cluster -> File_id.t -> Site.t list
 
 (** {1 Kernel services used by the Api layer (fiber-only)} *)
 
-val rpc : cluster -> src:Site.t -> dst:Site.t -> Msg.t -> Msg.reply
+val rpc : ?batched:bool -> cluster -> src:Site.t -> dst:Site.t -> Msg.t -> Msg.reply
 (** Send a kernel message and await the reply; timeouts surface as
-    [R_err]. *)
+    [R_err]. [batched] (default [false]) joins the RPC batch window. *)
 
 val alloc_txid : t -> Txid.t
 val procs : t -> Locus_proc.Proc_table.t

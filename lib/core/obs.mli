@@ -5,8 +5,7 @@
     the conventional per-file commit and abort of non-transaction work —
     to an optional per-cluster {!sink} (see [Kernel.set_observer]).
 
-    Unlike {!Locus_sim.Trace} this is not a debugging ring of strings: the
-    events carry the typed identities (owner, file, byte range, payload)
+    The events carry the typed identities (owner, file, byte range, payload)
     that [Locus_check] needs to rebuild conflict graphs, so they must not
     be truncated or sampled. With no sink installed the cost is one
     [option] test per event site. *)

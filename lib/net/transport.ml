@@ -366,19 +366,16 @@ let retry_loop t ~attempts ~backoff_us ~cap_us ~retry_if call =
   in
   go 1 backoff_us
 
-let rpc_retry ?(attempts = default_rpc_attempts)
+let retry_via send ?(attempts = default_rpc_attempts)
     ?(backoff_us = default_rpc_backoff_us) ?cap_us ?(retry_if = fun _ -> false) t
     ~src ~dst req =
   let cap_us = match cap_us with Some c -> c | None -> backoff_us * 16 in
   retry_loop t ~attempts ~backoff_us ~cap_us ~retry_if (fun () ->
-      rpc t ~src ~dst req)
+      send t ~src ~dst req)
 
-let rpc_retry_batched ?(attempts = default_rpc_attempts)
-    ?(backoff_us = default_rpc_backoff_us) ?cap_us ?(retry_if = fun _ -> false) t
-    ~src ~dst req =
-  let cap_us = match cap_us with Some c -> c | None -> backoff_us * 16 in
-  retry_loop t ~attempts ~backoff_us ~cap_us ~retry_if (fun () ->
-      rpc_batched t ~src ~dst req)
+(* Eta-expanded over [?attempts] so that both stay polymorphic. *)
+let rpc_retry ?attempts = retry_via rpc ?attempts
+let rpc_retry_batched ?attempts = retry_via rpc_batched ?attempts
 
 let send t ~src ~dst req =
   if src = dst then begin

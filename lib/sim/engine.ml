@@ -38,7 +38,6 @@ type t = {
   stats : Stats.t;
   costs : Costs.t;
   prng : Prng.t;
-  trace : Trace.t;
   mutable current : fiber option;
   mutable failure : (exn * Printexc.raw_backtrace) option;
   mutable cpu_instr : int ref option;  (* interned "cpu.instr" counter *)
@@ -88,7 +87,6 @@ let create ?(seed = 42) ?(costs = Costs.default) () =
     stats = Stats.create ();
     costs;
     prng = Prng.create ~seed;
-    trace = Trace.create ();
     current = None;
     failure = None;
     cpu_instr = None;
@@ -98,7 +96,6 @@ let create ?(seed = 42) ?(costs = Costs.default) () =
 let now t = t.now
 let current_fiber t = t.current
 let stats t = t.stats
-let trace t = t.trace
 let costs t = t.costs
 let prng t = t.prng
 let live_fibers t = Hashtbl.length t.live

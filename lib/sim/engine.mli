@@ -40,9 +40,6 @@ val current_fiber : t -> Fiber.handle option
 
 val stats : t -> Stats.t
 
-val trace : t -> Trace.t
-(** The engine's trace ring (disabled until {!Trace.enable}). *)
-
 val costs : t -> Costs.t
 val prng : t -> Prng.t
 

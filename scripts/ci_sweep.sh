@@ -32,7 +32,7 @@ must_fail() {
 
 case "$lane" in
   deadlock-check)
-    x deadlock --sites 3 --cycle 3 --expect-resolved
+    x deadlock --sites 3 --cycle 3 --expect-resolved --trace
     x explore --seeds 50
     x explore --seeds 25 --sites 3 --fault-every 5
     must_fail explore --seeds 25 --break locks

@@ -199,6 +199,49 @@ let test_policy_in_kernel () =
   Alcotest.(check (option bool)) "older aborted, younger committed" (Some true)
     !first_committed
 
+let test_cycle_outcomes_observed () =
+  (* A 3-cycle spread over three sites, watched through the kernel's event
+     stream: the victim aborts, the survivors commit. The victim's Abort
+     may appear more than once: its blocked lock call wakes before the
+     kill and the failing process aborts its transaction again. *)
+  let module L = Locus_core.Locus in
+  let module Api = L.Api in
+  let module Obs = Locus_core.Obs in
+  let n = 3 in
+  let sim = L.make ~n_sites:n () in
+  let events = ref [] in
+  L.Kernel.set_observer sim.L.cluster (Some (fun r -> events := r.Obs.ev :: !events));
+  ignore
+    (Api.spawn_process sim.L.cluster ~site:0 (fun env ->
+         let c = Api.creat env "/r" ~vid:1 in
+         Api.write_string env c (String.make (64 * n) 'i');
+         Api.commit_file env c;
+         let lock_at w pos =
+           Api.seek w c ~pos;
+           ignore (Api.lock w c ~len:64 ~mode:L.Mode.Exclusive ())
+         in
+         let worker i =
+           Api.fork env ~site:i (fun w ->
+               Api.begin_trans w;
+               lock_at w (i * 64);
+               Engine.sleep 500_000;
+               lock_at w (64 * ((i + 1) mod n));
+               ignore (Api.end_trans w))
+         in
+         List.iter (Api.wait_pid env) (List.init n worker)));
+  L.run sim;
+  let pick f = List.filter_map f !events in
+  let begun = pick (function Obs.Begin { txid; _ } -> Some txid | _ -> None) in
+  let aborted = pick (function Obs.Abort { txid } -> Some txid | _ -> None) in
+  let committed = pick (function Obs.Commit { txid } -> Some txid | _ -> None) in
+  let sort = List.sort_uniq Txid.compare in
+  Alcotest.(check int) "one victim" 1
+    (L.Stats.get (Engine.stats sim.L.engine) "deadlock.victims");
+  Alcotest.(check int) "exactly one txid aborts" 1 (List.length (sort aborted));
+  Alcotest.(check int) "each survivor commits once" (n - 1) (List.length committed);
+  Alcotest.(check bool) "outcomes partition the begun txids" true
+    (List.sort Txid.compare (sort aborted @ committed) = sort begun)
+
 let suite =
   suite
   @ [
@@ -209,5 +252,7 @@ let suite =
           Alcotest.test_case "fewest locks policy" `Quick test_policy_fewest_locks;
           Alcotest.test_case "scan report" `Quick test_scan_report;
           Alcotest.test_case "policy in kernel" `Quick test_policy_in_kernel;
+          Alcotest.test_case "cycle outcomes observed" `Quick
+            test_cycle_outcomes_observed;
         ] );
     ]

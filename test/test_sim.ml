@@ -308,39 +308,15 @@ let suite =
       ] );
   ]
 
-(* Appended: trace ring. *)
-
-let test_trace_ring () =
-  let t = Trace.create ~capacity:4 () in
-  Alcotest.(check (list string)) "disabled records nothing"
-    []
-    (List.map (fun e -> e.Trace.text) (Trace.events t));
-  Trace.emit t ~at:1 ~cat:Trace.User ~site:0 "dropped";
-  Trace.enable t;
-  for i = 1 to 6 do
-    Trace.emit t ~at:i ~cat:Trace.User ~site:0 (Printf.sprintf "e%d" i)
-  done;
-  Alcotest.(check (list string)) "keeps most recent, oldest first"
-    [ "e3"; "e4"; "e5"; "e6" ]
-    (List.map (fun e -> e.Trace.text) (Trace.events t));
-  Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (List.length (Trace.events t))
-
-let test_trace_category_filter () =
-  let t = Trace.create () in
-  Trace.enable ~categories:[ Trace.Lock ] t;
-  Trace.emit t ~at:1 ~cat:Trace.Lock ~site:0 "kept";
-  Trace.emit t ~at:2 ~cat:Trace.Net ~site:0 "filtered";
-  Alcotest.(check (list string)) "filtered" [ "kept" ]
-    (List.map (fun e -> e.Trace.text) (Trace.events t));
-  Alcotest.(check bool) "enabled query" true (Trace.enabled t Trace.Lock);
-  Alcotest.(check bool) "disabled query" false (Trace.enabled t Trace.Net)
+(* The kernel's typed event stream, the one `locusctl --trace` prints. *)
 
 let test_trace_from_kernel () =
   let module L = Locus_core.Locus in
   let module Api = L.Api in
+  let module Obs = Locus_core.Obs in
   let sim = L.make ~n_sites:2 () in
-  Trace.enable (Engine.trace sim.L.engine);
+  let events = ref [] in
+  L.Kernel.set_observer sim.L.cluster (Some (fun r -> events := r.Obs.ev :: !events));
   ignore
     (Api.spawn_process sim.L.cluster ~site:0 (fun env ->
          let c = Api.creat env "/t" ~vid:1 in
@@ -348,39 +324,20 @@ let test_trace_from_kernel () =
          Api.write_string env c "x";
          ignore (Api.end_trans env)));
   L.run sim;
-  let events = Trace.events (Engine.trace sim.L.engine) in
-  let has cat needle =
-    List.exists
-      (fun e ->
-        e.Trace.cat = cat
-        &&
-        let rec find i =
-          i + String.length needle <= String.length e.Trace.text
-          && (String.sub e.Trace.text i (String.length needle) = needle || find (i + 1))
-        in
-        find 0)
-      events
+  let txid =
+    match List.find_map (function Obs.Begin { txid; _ } -> Some txid | _ -> None) !events with
+    | Some t -> t
+    | None -> Alcotest.fail "no begin recorded"
   in
-  Alcotest.(check bool) "2pc begin traced" true (has Trace.Txn "2pc begin");
-  Alcotest.(check bool) "decide traced" true (has Trace.Txn "2pc decide");
-  Alcotest.(check bool) "lock grant traced" true (has Trace.Lock "grant");
-  Alcotest.(check bool) "messages traced" true (has Trace.Net "prepare")
+  let has p = List.exists p !events in
+  Alcotest.(check bool) "lock recorded for the txid" true
+    (has (function
+      | Obs.Lock { owner = Owner.Transaction t; _ } -> Txid.equal t txid
+      | _ -> false));
+  Alcotest.(check bool) "commit recorded for the txid" true
+    (has (function Obs.Commit { txid = t } -> Txid.equal t txid | _ -> false))
 
-let test_emitf_lazy () =
-  let t = Trace.create () in
-  Trace.enable ~categories:[ Trace.Lock ] t;
-  let forced = ref 0 in
-  let spy ppf =
-    incr forced;
-    Fmt.string ppf "x"
-  in
-  Trace.emitf t ~at:1 ~cat:Trace.Net ~site:0 "spy %t" spy;
-  Alcotest.(check int) "disabled category: args never rendered" 0 !forced;
-  Trace.emitf t ~at:2 ~cat:Trace.Lock ~site:0 "spy %t" spy;
-  Alcotest.(check int) "enabled category renders" 1 !forced;
-  Alcotest.(check int) "one event recorded" 1 (List.length (Trace.events t))
-
-(* Appended: bounded histograms, ring drop count. *)
+(* Appended: bounded histograms. *)
 
 (* The histogram-side per-mille quantile and the snapshot/diff algebra the
    health sampler's interval merges are built on. *)
@@ -439,28 +396,12 @@ let test_hist_named () =
     Alcotest.(check int) "count" 2 (Stats.Hist.count h);
     Alcotest.(check int) "one name" 1 (List.length (Stats.histograms s))
 
-let test_trace_dropped () =
-  let t = Trace.create ~capacity:4 () in
-  Trace.enable t;
-  Alcotest.(check int) "fresh ring drops nothing" 0 (Trace.dropped t);
-  for i = 1 to 6 do
-    Trace.emit t ~at:i ~cat:Trace.User ~site:0 (Printf.sprintf "e%d" i)
-  done;
-  Alcotest.(check int) "still holds capacity" 4 (List.length (Trace.events t));
-  Alcotest.(check int) "two oldest dropped" 2 (Trace.dropped t);
-  Trace.clear t;
-  Alcotest.(check int) "clear resets drop count" 0 (Trace.dropped t)
-
 let suite =
   suite
   @ [
       ( "sim.trace",
         [
-          Alcotest.test_case "ring" `Quick test_trace_ring;
-          Alcotest.test_case "category filter" `Quick test_trace_category_filter;
-          Alcotest.test_case "emitf lazy when disabled" `Quick test_emitf_lazy;
           Alcotest.test_case "kernel integration" `Quick test_trace_from_kernel;
-          Alcotest.test_case "dropped counter" `Quick test_trace_dropped;
         ] );
       ( "sim.stats.quantiles",
         [
