@@ -94,10 +94,7 @@ let run_alarm_scenario () =
       ~fault:(W.Kill_coordinator { after_decides = 1 })
       ~commit:`Two_phase ~health:window_us ~seed:42 spec
   in
-  let cl = sim.L.cluster in
-  let threshold =
-    (K.config cl).K.Config.health_thresholds.H.Rules.in_doubt_age_us
-  in
+  let threshold = H.Rules.default.in_doubt_age_us in
   (* The fault fires at the first 2PC decide ([after_decides = 1]), so
      the stranded transaction's durable decision is the FIRST
      Commit/Abort in the history; the in-doubt age counts from there.

@@ -5,7 +5,7 @@ module Api = L.Api
 module K = L.Kernel
 module M = L.Mode
 
-let fresh ?config ?costs ?(seed = 42) ~n_sites () = L.make ?config ?costs ~seed ~n_sites ()
+let fresh ?config ?(seed = 42) ~n_sites () = L.make ?config ~seed ~n_sites ()
 
 (* Run [f] as a single user process and drain the engine. *)
 let run_proc sim ~site f =

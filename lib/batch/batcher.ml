@@ -18,7 +18,6 @@ let configure t ~site ~window_us =
   t.site <- site;
   t.window_us <- window_us
 
-let window_us t = t.window_us
 let enabled t = t.window_us > 0 && not Mutant.(armed Batch)
 let reset t = t.cur <- None
 

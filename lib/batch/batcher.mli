@@ -26,8 +26,6 @@ val configure : 'item t -> site:int -> window_us:int -> unit
     window. A window of [0] disables batching; callers should then take
     their unbatched path. *)
 
-val window_us : 'item t -> int
-
 val enabled : 'item t -> bool
 (** [window_us > 0] and the [Mutant.Batch] self-test mutant is not
     armed. *)

@@ -214,8 +214,7 @@ let run ?fault ?(replicas = 1) ?(batch_window = 0) ?(commit = `Two_phase)
        running past the in-doubt age threshold plus a couple of windows,
        or the alarm the sweep asserts could never fire. *)
     if health > 0 then
-      (K.config sim.L.cluster).K.Config.health_thresholds
-        .Locus_health.Rules.in_doubt_age_us + (3 * health) + 500_000
+      Locus_health.Rules.default.in_doubt_age_us + (3 * health) + 500_000
     else 0
   in
   (match fault with

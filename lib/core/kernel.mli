@@ -27,20 +27,6 @@ module Config : sig
             decide without waiting for its recovery. Requires
             [n_sites >= 2f+1]. *)
 
-  type retry = { attempts : int; backoff_us : int; cap_us : int }
-  (** One bounded retry loop: up to [attempts] tries, first wait
-      [backoff_us], exponential growth (jittered under chaos) capped at
-      [cap_us]. *)
-
-  type retries = {
-    rpc : retry;  (** chaos-mode client requests *)
-    phase2 : retry;  (** commit/abort phase-2 notifications (§4.2) *)
-    replay : retry;  (** recovery replaying phase 2 of decided txns (§4.4) *)
-    outcome : retry;  (** participants chasing an in-doubt outcome (§4.4) *)
-    replica : retry;  (** replica delta propagation (§5.2) *)
-    shard : retry;  (** shard migration envelopes (locus_shard) *)
-  }
-
   type t = {
     n_sites : int;
     volumes : (int * Site.t list) list;
@@ -49,7 +35,6 @@ module Config : sig
             host at least one volume (it needs a medium for its coordinator
             log). *)
     page_size : int;
-    cache_pages : int;
     lock_cache : bool;  (** requesting-site lock cache (§5.1) — E2 ablation *)
     prefetch : bool;
         (** §5.2 optimization: remote lock grants carry the locked range's
@@ -61,26 +46,20 @@ module Config : sig
         (** paper behaviour: phase-2 commit messages are sent by a kernel
             process after the client resumes (§4.2); [false] = synchronous
             phase 2, for the E3/E4 ablation *)
-    deadlock_patience_us : int;
-        (** how long a lock waiter blocks before triggering a wait-for
-            graph scan (§3.1) *)
-    deadlock_policy : Locus_deadlock.Detector.policy;
-        (** victim-selection strategy used by the resolution service *)
     rpc_timeout_us : int;
         (** how long an RPC waits for its reply before the sender treats
             the destination as unreachable. One knob for the whole stack:
             it is threaded to the transport, whose default it shares
             ({!Transport.default_rpc_timeout_us}). *)
-    group_commit_window_us : int;
-        (** group commit: concurrently committing transactions whose log
-            forces land on the same volume within this window share a
-            single force (coordinator log and prepare/redo log alike).
-            [0] (default) = force immediately, today's behaviour. *)
-    rpc_batch_window_us : int;
-        (** RPC coalescing: prepare / phase-2 / replica-delta messages
-            bound for the same site within this window travel as one
-            [Msg.Batch] message with one reply. [0] (default) = one
-            message per request. *)
+    batch_window_us : int;
+        (** commit-path batching, two uses of one window. Group commit:
+            concurrently committing transactions whose log forces land on
+            the same volume within this window share a single force
+            (coordinator log and prepare/redo log alike). RPC coalescing:
+            prepare / phase-2 / replica-delta messages bound for the same
+            site within this window travel as one [Msg.Batch] message with
+            one reply. [0] (default) = force immediately, one message per
+            request. *)
     commit_protocol : commit_protocol;
         (** atomic-commitment protocol; [Two_phase] (default) keeps every
             existing baseline bit-for-bit *)
@@ -93,9 +72,6 @@ module Config : sig
     shard_policy : Locus_shard.Policy.t;
         (** when the lock-manager role chases the traffic: [Never], or
             [Threshold n] consecutive remote acquisitions from one site *)
-    retries : retries;
-        (** per-protocol-loop retry policies — the single source of truth
-            for every kernel retry call site *)
     net_faults : Transport.faults option;
         (** the lossy-network chaos layer (locus_chaos): [Some f] arms
             seed-deterministic per-message drop / duplication / jitter /
@@ -108,19 +84,14 @@ module Config : sig
             sampling window. [0] (default) = the health plane is unarmed —
             no sampler events, no series, no alarms, bit-for-bit identical
             runs. The {!Health_query} RPC answers either way. *)
-    health_keep : int;
-        (** ring capacity of every health time series (windows retained) *)
-    health_thresholds : Locus_health.Rules.thresholds;
-        (** watchdog alarm thresholds evaluated at every window close *)
   }
-
-  val default_retries : retries
-  (** Exactly the historical per-callsite constants (caps at 16x the
-      initial backoff), so default timing is unchanged. *)
 
   val default : n_sites:int -> t
   (** One volume per site ([vid = site]), 1 KiB pages, paper-faithful
-      knobs. *)
+      knobs. Settings with one value in use are kernel constants: a
+      128-page buffer cache per site, a 3 s lock-wait patience before a
+      deadlock scan, the youngest-transaction victim rule, and the retry
+      policy of each protocol loop. *)
 
   val with_replication : n_sites:int -> factor:int -> t
   (** Like {!default} but every volume is hosted at [factor] consecutive
@@ -128,9 +99,7 @@ module Config : sig
       with commit propagation. [factor] is clamped to [1..n_sites]. *)
 
   val with_batching : window_us:int -> t -> t
-  (** Set both batch windows ({!type-t.group_commit_window_us} and
-      {!type-t.rpc_batch_window_us}) to the same value — the usual way to
-      turn the commit-path batching on. *)
+  (** Set {!type-t.batch_window_us}: turn the commit-path batching on. *)
 
   val with_paxos : f:int -> t -> t
   (** Switch the commit protocol to [Paxos { f }]. Raises
@@ -146,18 +115,12 @@ module Config : sig
       default 0). Raises [Invalid_argument] on rates outside [0, 1) or
       negative window sizes. *)
 
-  val with_health :
-    ?window_us:int ->
-    ?keep:int ->
-    ?thresholds:Locus_health.Rules.thresholds ->
-    t ->
-    t
+  val with_health : ?window_us:int -> t -> t
   (** Arm the locus_health plane: sample counters / gauges / histogram
       interval merges every [window_us] (default 100 ms of virtual time)
-      into bounded rings of [keep] windows (default 64), and evaluate the
-      watchdog [thresholds] ({!Locus_health.Rules.default}) at every
-      window close. Raises [Invalid_argument] when [window_us <= 0] or
-      [keep <= 0]. *)
+      into rings of 64 windows, and evaluate the watchdog thresholds
+      {!Locus_health.Rules.default} at every window close. Raises
+      [Invalid_argument] when [window_us <= 0]. *)
 end
 
 val make : Engine.t -> Config.t -> cluster

@@ -10,8 +10,8 @@ module Mode = Locus_lock.Mode
 
 type sim = { engine : Engine.t; cluster : Kernel.cluster }
 
-let make ?seed ?costs ?config ~n_sites () =
-  let engine = Engine.create ?seed ?costs () in
+let make ?seed ?config ~n_sites () =
+  let engine = Engine.create ?seed () in
   let config =
     match config with Some c -> c | None -> Kernel.Config.default ~n_sites
   in
@@ -19,8 +19,8 @@ let make ?seed ?costs ?config ~n_sites () =
 
 let run sim = Engine.run sim.engine
 
-let simulate ?seed ?costs ?config ~n_sites f =
-  let sim = make ?seed ?costs ?config ~n_sites () in
+let simulate ?seed ?config ~n_sites f =
+  let sim = make ?seed ?config ~n_sites () in
   f sim.cluster;
   run sim;
   sim

@@ -29,12 +29,11 @@ module Mode = Locus_lock.Mode
 
 type sim = { engine : Engine.t; cluster : Kernel.cluster }
 
-val make : ?seed:int -> ?costs:Costs.t -> ?config:Kernel.Config.t -> n_sites:int -> unit -> sim
+val make : ?seed:int -> ?config:Kernel.Config.t -> n_sites:int -> unit -> sim
 (** Create an engine and a cluster (without running anything). *)
 
 val simulate :
   ?seed:int ->
-  ?costs:Costs.t ->
   ?config:Kernel.Config.t ->
   n_sites:int ->
   (Kernel.cluster -> unit) ->

@@ -1,47 +1,4 @@
-type policy = Youngest_transaction | Oldest_transaction | Fewest_locks
-
-let pp_policy ppf p =
-  Fmt.string ppf
-    (match p with
-    | Youngest_transaction -> "youngest-transaction"
-    | Oldest_transaction -> "oldest-transaction"
-    | Fewest_locks -> "fewest-locks")
-
-let lock_counts tables =
-  let counts = Hashtbl.create 16 in
-  List.iter
-    (fun table ->
-      List.iter
-        (fun (l : Locus_lock.Lock_table.lock) ->
-          let o = l.Locus_lock.Lock_table.owner in
-          Hashtbl.replace counts o
-            (1 + Option.value (Hashtbl.find_opt counts o) ~default:0))
-        (Locus_lock.Lock_table.locks table))
-    tables;
-  fun o -> Option.value (Hashtbl.find_opt counts o) ~default:0
-
-(* Return > 0 when [a] is the preferred victim over [b]. Transactions
-   always beat plain processes as victims; ties fall back to id order so
-   the choice stays deterministic. *)
-let prefer policy tables =
-  let count = lazy (lock_counts tables) in
-  fun a b ->
-    match (a, b) with
-    | Owner.Transaction x, Owner.Transaction y -> (
-      match policy with
-      | Youngest_transaction -> Txid.compare x y
-      | Oldest_transaction -> Txid.compare y x
-      | Fewest_locks -> (
-        match Int.compare (Lazy.force count b) (Lazy.force count a) with
-        | 0 -> Txid.compare x y
-        | c -> c))
-    | Owner.Transaction _, Owner.Process _ -> 1
-    | Owner.Process _, Owner.Transaction _ -> -1
-    | Owner.Process x, Owner.Process y -> Pid.compare x y
-
-let victims policy tables =
-  let g = Wfg.of_tables tables in
-  Wfg.victims ~prefer:(prefer policy tables) g
+let victims tables = Wfg.victims (Wfg.of_tables tables)
 
 let scan_report tables =
   let g = Wfg.of_tables tables in

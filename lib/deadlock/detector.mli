@@ -1,26 +1,16 @@
 (** The deadlock-resolution system process (§3.1).
 
     The kernel only exports its lock state; detection and the choice of
-    victims are policies implemented outside it — "a variety of deadlock
+    victims are implemented outside it — "a variety of deadlock
     resolution and redo strategies may be implemented". This module
-    packages the wait-for-graph scan with the classic victim-selection
-    policies. *)
+    packages the wait-for-graph scan with one victim-selection rule:
+    abort the most recently started transaction, which loses the least
+    work. *)
 
-type policy =
-  | Youngest_transaction
-      (** abort the most recently started transaction: least work lost *)
-  | Oldest_transaction
-      (** abort the oldest: unblocks the most waiters in long convoys *)
-  | Fewest_locks
-      (** abort the owner holding the fewest locks across all sites: the
-          cheapest rollback *)
-
-val pp_policy : policy Fmt.t
-
-val victims : policy -> Locus_lock.Lock_table.t list -> Owner.t list
+val victims : Locus_lock.Lock_table.t list -> Owner.t list
 (** Build the global wait-for graph from the exported lock state and pick
-    one victim per cycle under the given policy. Transactions are always
-    preferred over plain processes as victims. Deterministic. *)
+    one victim per cycle: the youngest transaction in it. Transactions are
+    always preferred over plain processes as victims. Deterministic. *)
 
 val scan_report :
   Locus_lock.Lock_table.t list ->

@@ -75,17 +75,17 @@ let remove t o =
   t.adj <- Owner.Map.remove o t.adj;
   t.adj <- Owner.Map.map (fun s -> Owner.Set.remove o s) t.adj
 
-(* Default victim preference: abort a transaction rather than block a
-   plain process, and among transactions the youngest (largest sequence
-   number) — it has probably done the least work. *)
-let default_prefer a b =
+(* Victim preference: abort a transaction rather than block a plain
+   process, and among transactions the youngest (largest sequence number)
+   — it has probably done the least work. *)
+let prefer a b =
   match (a, b) with
   | Owner.Transaction x, Owner.Transaction y -> Txid.compare x y
   | Owner.Transaction _, Owner.Process _ -> 1
   | Owner.Process _, Owner.Transaction _ -> -1
   | Owner.Process x, Owner.Process y -> Pid.compare x y
 
-let victims ?(prefer = default_prefer) t =
+let victims t =
   let g = { adj = t.adj } in
   let rec go acc =
     match find_cycle g with

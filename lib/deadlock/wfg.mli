@@ -23,12 +23,11 @@ val find_cycle : t -> Owner.t list option
     waiting on [o1]; [None] if the graph is acyclic. Deterministic: the
     same graph always yields the same cycle. *)
 
-val victims : ?prefer:(Owner.t -> Owner.t -> int) -> t -> Owner.t list
+val victims : t -> Owner.t list
 (** Minimal set of owners whose removal (abort) breaks every cycle, chosen
-    greedily one cycle at a time. [prefer] orders candidates within a
-    cycle (greater = preferred victim); the default prefers transactions
-    over plain processes and younger transactions over older ones, so the
-    least work is lost. *)
+    greedily one cycle at a time. Within a cycle, transactions are
+    preferred over plain processes and younger transactions over older
+    ones, so the least work is lost. *)
 
 val remove : t -> Owner.t -> unit
 val pp : t Fmt.t

@@ -189,7 +189,6 @@ let set_group_commit t ~site ~window_us =
   Locus_batch.Batcher.configure t.group ~site ~window_us
 
 let set_group_trace t f = t.group_trace <- f
-let group_commit_window_us t = Locus_batch.Batcher.window_us t.group
 let reset_group_commit t = Locus_batch.Batcher.reset t.group
 
 let log_append t ~tag payload =

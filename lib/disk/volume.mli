@@ -124,8 +124,6 @@ val set_group_commit : t -> site:int -> window_us:int -> unit
     attributes the flusher fiber, so a crash of the hosting site kills the
     pending batch together with its waiters. *)
 
-val group_commit_window_us : t -> int
-
 val reset_group_commit : t -> unit
 (** Crash path: drop any batch still waiting in the window (its records
     were never forced, so losing them mirrors the disk's behaviour). *)

@@ -30,7 +30,6 @@ type t = {
   mutable next_id : int;
   stacks : (int, span list ref) Hashtbl.t;  (* fiber id -> open spans, innermost first *)
   phase_hists : (string, Stats.Hist.t) Hashtbl.t;
-  bucket_bytes : int;
   cells : (string * int, cell) Hashtbl.t;
   mutable migrations : migration list;  (* newest first *)
 }
@@ -43,7 +42,7 @@ and migration = {
   mg_at : int;
 }
 
-let create ?(capacity = 65536) ?(bucket_bytes = 1024) engine =
+let create ?(capacity = 65536) engine =
   if capacity <= 0 then invalid_arg "Otrace.create: non-positive capacity";
   {
     engine;
@@ -55,7 +54,6 @@ let create ?(capacity = 65536) ?(bucket_bytes = 1024) engine =
     next_id = 0;
     stacks = Hashtbl.create 64;
     phase_hists = Hashtbl.create 32;
-    bucket_bytes = max 1 bucket_bytes;
     cells = Hashtbl.create 32;
     migrations = [];
   }
@@ -184,8 +182,12 @@ type wait_profile = {
    approximate top-K, exact whenever a cell sees <= K distinct blockers. *)
 let max_blockers = 8
 
+(* Byte-range bucket width of the lock-contention profile: one 1 KiB
+   page. *)
+let cell_bytes = 1024
+
 let note_wait t ~fid ~lo ~wait_us ~queue ~blockers =
-  let key = (fid, lo / t.bucket_bytes) in
+  let key = (fid, lo / cell_bytes) in
   let c =
     match Hashtbl.find_opt t.cells key with
     | Some c -> c
@@ -246,8 +248,8 @@ let contention t =
     (fun (fid, bucket) c acc ->
       {
         wp_fid = fid;
-        wp_range_lo = bucket * t.bucket_bytes;
-        wp_range_len = t.bucket_bytes;
+        wp_range_lo = bucket * cell_bytes;
+        wp_range_len = cell_bytes;
         wp_waits = c.waits;
         wp_total_wait_us = c.total_wait_us;
         wp_max_wait_us = c.max_wait_us;

@@ -35,15 +35,6 @@ let default =
     migrate_instr = 10000;
   }
 
-let fast_lan =
-  {
-    default with
-    instr_ns = 200;
-    msg_latency_us = 650;
-    disk_latency_us = 8000;
-    disk_per_kib_us = 100;
-  }
-
 let instr_us t n = n * t.instr_ns / 1000
 
 let disk_io_us t ~bytes = t.disk_latency_us + (bytes * t.disk_per_kib_us / 1024)

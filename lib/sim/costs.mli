@@ -35,10 +35,6 @@ type t = {
 val default : t
 (** Calibrated to the paper's environment (see above). *)
 
-val fast_lan : t
-(** A "modern-ish" variant: 10x CPU, 10x network — used by ablation benches
-    to show which conclusions are hardware-dependent. *)
-
 val instr_us : t -> int -> int
 (** [instr_us t n] is the virtual time in µs consumed by [n] instructions. *)
 

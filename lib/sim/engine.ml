@@ -36,7 +36,6 @@ type t = {
   mutable next_fid : int;
   mutable fired : int;  (* events dispatched over the engine's lifetime *)
   stats : Stats.t;
-  costs : Costs.t;
   prng : Prng.t;
   mutable current : fiber option;
   mutable failure : (exn * Printexc.raw_backtrace) option;
@@ -75,7 +74,7 @@ type _ Effect.t +=
   | Await_eff : 'a Ivar.t -> 'a Effect.t
   | Await_timeout_eff : 'a Ivar.t * time -> 'a option Effect.t
 
-let create ?(seed = 42) ?(costs = Costs.default) () =
+let create ?(seed = 42) () =
   {
     now = 0;
     seq = 0;
@@ -85,7 +84,6 @@ let create ?(seed = 42) ?(costs = Costs.default) () =
     next_fid = 0;
     fired = 0;
     stats = Stats.create ();
-    costs;
     prng = Prng.create ~seed;
     current = None;
     failure = None;
@@ -96,7 +94,7 @@ let create ?(seed = 42) ?(costs = Costs.default) () =
 let now t = t.now
 let current_fiber t = t.current
 let stats t = t.stats
-let costs t = t.costs
+let costs _ = Costs.default
 let prng t = t.prng
 let live_fibers t = Hashtbl.length t.live
 let pending_events t = Pqueue.length t.events
@@ -272,7 +270,7 @@ let consume t ~instr =
     let rs = site_instr_ref t f.fsite in
     rs := !rs + instr
   | Some _ | None -> ());
-  sleep (Costs.instr_us t.costs instr)
+  sleep (Costs.instr_us Costs.default instr)
 
 (* The dispatch loop. Invariants the fast path must preserve:
    - events fire in strict (time, seq) order (determinism);
@@ -322,8 +320,8 @@ let run ?(max_events = 50_000_000) ?until t =
     Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let run_fn ?seed ?costs f =
-  let t = create ?seed ?costs () in
+let run_fn ?seed f =
+  let t = create ?seed () in
   f t;
   run t;
   t

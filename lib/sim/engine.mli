@@ -30,7 +30,7 @@ module Fiber : sig
   val alive : handle -> bool
 end
 
-val create : ?seed:int -> ?costs:Costs.t -> unit -> t
+val create : ?seed:int -> unit -> t
 val now : t -> time
 
 val current_fiber : t -> Fiber.handle option
@@ -41,6 +41,8 @@ val current_fiber : t -> Fiber.handle option
 val stats : t -> Stats.t
 
 val costs : t -> Costs.t
+(** The cost model: {!Costs.default}, the paper's calibrated hardware. *)
+
 val prng : t -> Prng.t
 
 val schedule : ?delay:time -> t -> (unit -> unit) -> unit
@@ -125,6 +127,6 @@ val run : ?max_events:int -> ?until:time -> t -> unit
     fired — the latter guards against accidental virtual livelock. An
     exception escaping a fiber aborts the run and is re-raised here. *)
 
-val run_fn : ?seed:int -> ?costs:Costs.t -> (t -> unit) -> t
+val run_fn : ?seed:int -> (t -> unit) -> t
 (** [run_fn f] creates an engine, calls [f] (which typically spawns
     fibers), runs to completion and returns the engine for inspection. *)

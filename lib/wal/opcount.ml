@@ -85,13 +85,11 @@ let wal p =
     total = foreground + deferred;
   }
 
-let crossover_record_size ?(page_size = 1024) ?(records_per_txn = 4) () =
+let crossover_record_size () =
   let rec scan size =
-    if size > page_size then None
+    if size > default_params.page_size then None
     else begin
-      let p =
-        { default_params with page_size; record_size = size; records_per_txn }
-      in
+      let p = { default_params with record_size = size; records_per_txn = 4 } in
       if (shadow p).total <= (wal p).total then Some size
       else scan (size + 16)
     end

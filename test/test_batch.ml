@@ -133,10 +133,10 @@ let test_rpc_coalescing () =
   let results = Array.make 2 (Error T.No_handler) in
   ignore
     (Engine.spawn ~site:0 e (fun () ->
-         results.(0) <- T.rpc_batched t ~src:0 ~dst:1 "a"));
+         results.(0) <- T.rpc ~batched:true t ~src:0 ~dst:1 "a"));
   ignore
     (Engine.spawn ~site:0 e (fun () ->
-         results.(1) <- T.rpc_batched t ~src:0 ~dst:1 "b"));
+         results.(1) <- T.rpc ~batched:true t ~src:0 ~dst:1 "b"));
   Engine.run e;
   Alcotest.(check (list string)) "one wire message" [ "B,a,b" ] !calls;
   Alcotest.(check bool) "first reply fanned out" true (results.(0) = Ok "Ra");
@@ -156,7 +156,7 @@ let test_rpc_batch_singleton_bypasses_wrap () =
   let result = ref (Error T.No_handler) in
   ignore
     (Engine.spawn ~site:0 e (fun () ->
-         result := T.rpc_batched t ~src:0 ~dst:1 "solo"));
+         result := T.rpc ~batched:true t ~src:0 ~dst:1 "solo"));
   Engine.run e;
   Alcotest.(check (list string)) "sent unwrapped" [ "solo" ] !calls;
   Alcotest.(check bool) "plain reply" true (!result = Ok "Rsolo");
@@ -173,7 +173,7 @@ let test_rpc_batch_local_calls_skip_window () =
   let result = ref (Error T.No_handler) in
   ignore
     (Engine.spawn ~site:1 e (fun () ->
-         result := T.rpc_batched t ~src:1 ~dst:1 "local";
+         result := T.rpc ~batched:true t ~src:1 ~dst:1 "local";
          (* A local call never waits out the window. *)
          Alcotest.(check int) "no window delay" 0 (Engine.now e)));
   Engine.run e;
@@ -313,11 +313,9 @@ let test_rpc_timeout_single_source_of_truth () =
 
 let test_with_batching_sets_both_windows () =
   let cfg = K.Config.with_batching ~window_us:400 (K.Config.default ~n_sites:3) in
-  Alcotest.(check int) "group commit window" 400 cfg.K.Config.group_commit_window_us;
-  Alcotest.(check int) "rpc batch window" 400 cfg.K.Config.rpc_batch_window_us;
-  let off = K.Config.default ~n_sites:3 in
-  Alcotest.(check int) "default group window off" 0 off.K.Config.group_commit_window_us;
-  Alcotest.(check int) "default rpc window off" 0 off.K.Config.rpc_batch_window_us
+  Alcotest.(check int) "batch window" 400 cfg.K.Config.batch_window_us;
+  Alcotest.(check int) "default window off" 0
+    (K.Config.default ~n_sites:3).K.Config.batch_window_us
 
 let test_batcher_window_reuse () =
   in_sim (fun e ->

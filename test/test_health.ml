@@ -243,9 +243,7 @@ let test_kill_coordinator_raises_in_doubt_alarm () =
     (Stats.get (L.Engine.stats sim.L.engine) "health.alarm.in_doubt_age");
   (* Alarm latency: the watchdog can only see the incident once the age
      crosses the threshold, and must say so within two window closes. *)
-  let threshold =
-    (K.config cl).K.Config.health_thresholds.H.Rules.in_doubt_age_us
-  in
+  let threshold = H.Rules.default.in_doubt_age_us in
   let kill_at =
     (* The coordinator died at the first decide; every event it emitted
        precedes the crash, so the last one bounds the kill time. *)
