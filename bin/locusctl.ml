@@ -263,21 +263,26 @@ let deadlock seed sites cycle trace expect_resolved =
   if expect_resolved then begin
     let stats = L.Engine.stats sim.L.engine in
     let get k = L.Stats.get stats k in
-    let check name cond =
-      Fmt.pr "expect %-28s %s@." name (if cond then "ok" else "FAILED");
-      cond
+    let checks =
+      [
+        ("deadlock.victims >= 1", get "deadlock.victims" >= 1);
+        ("txn.abort.deadlock >= 1", get "txn.abort.deadlock" >= 1);
+        ( "txn.abort_requests = deadlock.victims",
+          get "txn.abort_requests" = get "deadlock.victims" );
+        ("txn.committed >= 1", get "txn.committed" >= 1);
+        ("no survivors stuck", K.active_transactions sim.L.cluster = []);
+      ]
     in
-    let ok =
-      List.for_all Fun.id
-        [
-          check "deadlock.victims >= 1" (get "deadlock.victims" >= 1);
-          check "txn.abort.deadlock >= 1" (get "txn.abort.deadlock" >= 1);
-          check "txn.committed >= 1" (get "txn.committed" >= 1);
-          check "no survivors stuck"
-            (K.active_transactions sim.L.cluster = []);
-        ]
+    (* Printed in declaration order: [List.filter] visits the list front
+       to back. *)
+    let failed =
+      List.filter
+        (fun (name, ok) ->
+          Fmt.pr "expect %-37s %s@." name (if ok then "ok" else "FAILED");
+          not ok)
+        checks
     in
-    if not ok then exit 1
+    if failed <> [] then exit 1
   end
 
 let deadlock_cmd =
@@ -290,9 +295,9 @@ let deadlock_cmd =
       & info [ "expect-resolved" ]
           ~doc:
             "Self-test mode: exit non-zero unless the detector picked at \
-             least one victim (deadlock.victims, txn.abort.deadlock), at \
-             least one survivor committed, and no transaction is left \
-             active.")
+             least one victim (deadlock.victims, txn.abort.deadlock), each \
+             victim was aborted once (txn.abort_requests), at least one \
+             survivor committed, and no transaction is left active.")
   in
   Cmd.v
     (Cmd.info "deadlock" ~doc:"Induce an N-cycle deadlock and watch the resolver.")
