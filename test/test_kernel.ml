@@ -235,26 +235,58 @@ let test_non_transaction_lock_mode () =
          ignore (Api.end_trans env);
          Alcotest.(check bool) "catalog lock released early" true !probe))
 
+(* Figure 2 / §3.3 rule 2, in its sharpest form: the transaction only
+   READS the dirty record, yet the record commits with it. [before] runs
+   once the clean record is committed. *)
+let rule2_dirty_read ?config ?(before = fun _ _ -> ()) () =
+  scenario ?config (fun cl env ->
+      let c = Api.creat env "/x" ~vid:1 in
+      Api.write_string env c "....";
+      Api.commit_file env c;
+      before cl (Option.get (K.lookup cl "/x"));
+      (* Non-transaction dirty write, unlocked. *)
+      Api.pwrite env c ~pos:0 (Bytes.of_string "DIRT");
+      let t =
+        Api.fork env ~name:"txn" (fun w ->
+            Api.begin_trans w;
+            Api.seek w c ~pos:0;
+            must_lock w c ~len:4 ~mode:M.Shared;
+            ignore (Api.pread w c ~pos:0 ~len:4);
+            Alcotest.check outcome "reader txn commits" K.Committed
+              (Api.end_trans w))
+      in
+      Api.wait_pid env t;
+      (* Committed by the transaction (once its asynchronous phase 2 has
+         landed), not by this process's exit. *)
+      Engine.sleep 1_000_000;
+      Alcotest.(check string) "dirty record durable at txn end" "DIRT"
+        (K.read_committed_oracle cl (Option.get (K.lookup cl "/x"))))
+
 let test_rule2_dirty_read_commits_with_txn () =
-  (* Figure 2 / §3.3 rule 2, in its sharpest form: the transaction only
-     READS the dirty record, yet the record commits with it. *)
-  let sim =
-    scenario (fun _cl env ->
-        let c = Api.creat env "/x" ~vid:1 in
-        Api.write_string env c "....";
-        Api.commit_file env c;
-        (* Non-transaction dirty write, unlocked. *)
-        Api.pwrite env c ~pos:0 (Bytes.of_string "DIRT");
-        let t =
-          Api.fork env ~name:"txn" (fun w ->
-              Api.begin_trans w;
-              Api.seek w c ~pos:0;
-              must_lock w c ~len:4 ~mode:M.Shared;
-              ignore (Api.pread w c ~pos:0 ~len:4);
-              ignore (Api.end_trans w))
-        in
-        Api.wait_pid env t)
+  let sim = rule2_dirty_read () in
+  Alcotest.(check string) "dirty record committed by the reader txn" "DIRT"
+    (oracle sim "/x")
+
+(* The same read with the lock-manager role moved off the file's storage
+   site (site 1): the storage site sees the dirty bytes, and the role's
+   owner must retain the lock for it (the [dirty] flag of
+   [Msg.Ensure_lock]). *)
+let test_rule2_dirty_read_sharded () =
+  let config =
+    K.Config.with_shards ~shards:1 ~policy:Locus_shard.Policy.Never
+      (K.Config.default ~n_sites:3)
   in
+  let sim =
+    rule2_dirty_read ~config
+      ~before:(fun cl fid -> K.force_migrate cl ~src:0 fid ~dst:2)
+      ()
+  in
+  let cl = sim.L.cluster in
+  (match K.shard_owner cl (Option.get (K.lookup cl "/x")) with
+  | Some (owner, _) -> Alcotest.(check int) "role away from storage" 2 owner
+  | None -> Alcotest.fail "sharding is on");
+  Alcotest.(check bool) "grants made for other sites" true
+    (L.Stats.get (L.Engine.stats sim.L.engine) "shard.remote_grants" > 0);
   Alcotest.(check string) "dirty record committed by the reader txn" "DIRT"
     (oracle sim "/x")
 
@@ -468,6 +500,8 @@ let suite =
           test_non_transaction_lock_mode;
         Alcotest.test_case "rule 2 dirty read" `Quick
           test_rule2_dirty_read_commits_with_txn;
+        Alcotest.test_case "rule 2 dirty read, role away" `Quick
+          test_rule2_dirty_read_sharded;
         Alcotest.test_case "append mode" `Quick test_append_mode_disjoint_offsets;
         Alcotest.test_case "lock cache ablation" `Quick test_lock_cache_ablation;
       ] );
