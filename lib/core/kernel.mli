@@ -169,9 +169,11 @@ val replica_sites : cluster -> File_id.t -> Site.t list
 
 (** {1 Kernel services used by the Api layer (fiber-only)} *)
 
-val rpc : ?batched:bool -> cluster -> src:Site.t -> dst:Site.t -> Msg.t -> Msg.reply
+val rpc :
+  ?batched:bool -> ?rid:Msg.rid -> cluster -> src:Site.t -> dst:Site.t -> Msg.t -> Msg.reply
 (** Send a kernel message and await the reply; timeouts surface as
-    [R_err]. [batched] (default [false]) joins the RPC batch window. *)
+    [R_err]. [batched] (default [false]) joins the RPC batch window;
+    [rid] is a request id the caller holds across its own retries. *)
 
 val alloc_txid : t -> Txid.t
 val procs : t -> Locus_proc.Proc_table.t
@@ -216,14 +218,13 @@ val shard_status : cluster -> (File_id.t * string option * Site.t * int) list
     epoch-0 default owner are omitted. *)
 
 val register_fiber : t -> Pid.t -> Engine.Fiber.handle -> unit
-val fiber_of : t -> Pid.t -> Engine.Fiber.handle option
 val forget_fiber : t -> Pid.t -> unit
 
 val note_location : cluster -> Pid.t -> Site.t -> unit
-val location_hint : cluster -> Pid.t -> Site.t option
-val find_process : cluster -> src:Site.t -> Pid.t -> Site.t option
-(** Locate a process: check the hint, verify by message, fall back to
-    polling every reachable site. *)
+val locate_process : cluster -> src:Site.t -> Pid.t -> Site.t option
+(** Where a process runs: its location hint while that site is up, else
+    a search that verifies the hint by message and then polls every
+    reachable site. Fiber-only. *)
 
 val exit_ivar : cluster -> Pid.t -> unit Engine.Ivar.t
 (** Created on demand; filled when the process exits (for [Api.wait]). *)
@@ -267,8 +268,6 @@ type abort_reason = Deadlock | Orphan | Crash | Degraded_vote | Coordinator_lost
     learned an abort from the acceptor quorum after losing sight of the
     coordinator; the others classify {!abort_transaction} calls. *)
 
-val abort_reason_label : abort_reason -> string
-
 val abort_transaction :
   cluster -> ?spare:Pid.t -> ?reason:abort_reason -> src:Site.t -> Txid.t -> unit
 (** Cascade abort (§4.3): locate the top-level process, roll back every
@@ -281,11 +280,6 @@ val member_exit : cluster -> src:Site.t -> Locus_proc.Process.t -> unit
 (** Run the member-process exit protocol for a transaction member: merge
     its file-list into the top-level process's transaction record with the
     §4.1 retry protocol, then clean up its channels and locks. *)
-
-val deadlock_scan : cluster -> src:Site.t -> Owner.t list
-(** Build the global wait-for graph and abort victim transactions; returns
-    the victims. Triggered by lock waiters that exceed the configured
-    patience, or manually by tests. *)
 
 (** {1 Failure-injection hooks (tests)} *)
 
