@@ -12,7 +12,6 @@ let record t r =
 let sink t r = record t r
 
 let attach t cl = Kernel.set_observer cl (Some (sink t))
-let detach cl = Kernel.set_observer cl None
 
 let length t = t.n
 let events t = List.rev t.rev

@@ -16,8 +16,6 @@ val create : unit -> t
 val attach : t -> Locus_core.Kernel.cluster -> unit
 (** Install this recorder as the cluster's observer (replacing any). *)
 
-val detach : Locus_core.Kernel.cluster -> unit
-
 val record : t -> Obs.record -> unit
 (** Append one event (also usable to fabricate histories in tests). *)
 

@@ -141,7 +141,6 @@ let inode_numbers t =
   Hashtbl.fold (fun ino _ acc -> ino :: acc) t.inodes [] |> List.sort Int.compare
 
 let inode_exists t ino = Hashtbl.mem t.inodes ino
-let free_inode t ino = Hashtbl.remove t.inodes ino
 
 let log_io t =
   t.log_writes <- t.log_writes + 1;

@@ -84,7 +84,6 @@ val inode_numbers : t -> int list
     charge explicitly). *)
 
 val inode_exists : t -> int -> bool
-val free_inode : t -> int -> unit
 
 (** {1 Per-volume log}
 

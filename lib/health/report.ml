@@ -19,8 +19,6 @@ type site = {
 
 type poll = Healthy of site | Unreachable of { u_site : int }
 
-let poll_site = function Healthy s -> s.hs_site | Unreachable u -> u.u_site
-
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter

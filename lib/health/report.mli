@@ -28,8 +28,6 @@ type site = {
 
 type poll = Healthy of site | Unreachable of { u_site : int }
 
-val poll_site : poll -> int
-
 val pp_site : site Fmt.t
 val pp_poll : poll Fmt.t
 

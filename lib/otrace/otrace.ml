@@ -73,7 +73,6 @@ let stack t key =
     Hashtbl.replace t.stacks key r;
     r
 
-let span_id sp = sp.id
 let span_ctx sp = { trace = sp.trace_id; span = sp.id }
 
 let current_ctx t =

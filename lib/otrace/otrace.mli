@@ -66,7 +66,6 @@ val current_ctx : t -> ctx option
 (** Context of the current fiber's innermost open span, for attaching to
     outgoing messages or capturing before [Engine.spawn]. *)
 
-val span_id : span -> int
 val span_ctx : span -> ctx
 (** Context rooted at this span (for cross-fiber grafting). *)
 

@@ -1,6 +1,5 @@
 (* The shard directory: the authoritative answer to "which site owns the
-   lock-manager role (and the primary-copy role) for fid X right now, and
-   at which epoch".
+   lock-manager role for fid X right now, and at which epoch".
 
    The file-id space is hashed into [n_shards] shards; each shard's
    directory entries are served by one deterministic directory site
@@ -26,18 +25,12 @@ type t = {
   n_shards : int;
   n_sites : int;
   lock_owners : (File_id.t, entry) Hashtbl.t;
-  primaries : (int, Site.t) Hashtbl.t; (* vid -> primary-copy role *)
 }
 
 let create ~n_shards ~n_sites =
   if n_shards <= 0 then invalid_arg "Directory.create: need n_shards > 0";
   if n_sites <= 0 then invalid_arg "Directory.create: need n_sites > 0";
-  {
-    n_shards;
-    n_sites;
-    lock_owners = Hashtbl.create 64;
-    primaries = Hashtbl.create 8;
-  }
+  { n_shards; n_sites; lock_owners = Hashtbl.create 64 }
 
 let n_shards t = t.n_shards
 
@@ -78,8 +71,3 @@ let claim t fid ~default ~new_owner ~from_epoch ~claimer =
 let entries t =
   Hashtbl.fold (fun fid e acc -> (fid, e.owner, e.epoch) :: acc) t.lock_owners []
   |> List.sort (fun (a, _, _) (b, _, _) -> File_id.compare a b)
-
-let set_primary t ~vid site = Hashtbl.replace t.primaries vid site
-
-let primary t ~vid ~default =
-  Option.value (Hashtbl.find_opt t.primaries vid) ~default

@@ -1,5 +1,5 @@
 (** The authoritative shard directory: who owns the lock-manager role
-    (and the primary-copy role) for a file right now, and at which epoch.
+    for a file right now, and at which epoch.
 
     One logical table for the whole cluster, with each shard's entries
     served by a deterministic directory site
@@ -43,9 +43,3 @@ val claim :
 
 val entries : t -> (File_id.t * Site.t * int) list
 (** All claimed entries, sorted by fid — introspection only. *)
-
-val set_primary : t -> vid:int -> Site.t -> unit
-(** Record the primary-copy role for a volume (mirrors the replication
-    layer's election so the directory answers both roles). *)
-
-val primary : t -> vid:int -> default:Site.t -> Site.t

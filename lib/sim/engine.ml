@@ -65,7 +65,6 @@ module Ivar = struct
   type 'a t = { mutable state : 'a state }
 
   let create () = { state = Empty [] }
-  let is_full iv = match iv.state with Full _ -> true | Empty _ -> false
   let peek iv = match iv.state with Full v -> Some v | Empty _ -> None
 end
 
@@ -96,7 +95,6 @@ let current_fiber t = t.current
 let stats t = t.stats
 let costs _ = Costs.default
 let prng t = t.prng
-let live_fibers t = Hashtbl.length t.live
 let pending_events t = Pqueue.length t.events
 let events_fired t = t.fired
 

@@ -63,8 +63,6 @@ val set_site : t -> Fiber.handle -> int -> unit
 (** Retag a fiber (process migration moves a process to another site, so a
     crash of the new site must kill it and a crash of the old must not). *)
 
-val live_fibers : t -> int
-
 val pending_events : t -> int
 (** Scheduled events not yet fired, including cancelled ones still queued
     (a cancelled event is skipped without advancing the clock when
@@ -94,7 +92,6 @@ module Ivar : sig
   type 'a t
 
   val create : unit -> 'a t
-  val is_full : 'a t -> bool
   val peek : 'a t -> 'a option
 end
 

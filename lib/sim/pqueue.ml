@@ -124,4 +124,3 @@ let pop t =
   end
 
 let min_time t = if t.size = 0 then max_int else t.times.(0)
-let peek_time t = if t.size = 0 then None else Some t.times.(0)

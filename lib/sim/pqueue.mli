@@ -35,8 +35,5 @@ val pop : 'a t -> (int * int * 'a) option
     convenience form of {!pop_into}. *)
 
 val min_time : 'a t -> int
-(** Time of the minimum element, [max_int] when empty. Allocation-free
-    form of {!peek_time} for the dispatch loop. *)
-
-val peek_time : 'a t -> int option
-(** Time of the minimum element, without removing it. *)
+(** Time of the minimum element, [max_int] when empty. Allocation-free,
+    for the dispatch loop. *)

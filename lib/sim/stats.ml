@@ -134,10 +134,6 @@ let add t name n =
 let get t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 let reset t name = match Hashtbl.find_opt t.counters name with Some r -> r := 0 | None -> ()
 
-let reset_all t =
-  Hashtbl.iter (fun _ r -> r := 0) t.counters;
-  Hashtbl.reset t.hists
-
 let counters t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -150,7 +146,6 @@ let hist_ref t name =
     Hashtbl.add t.hists name h;
     h
 
-let hist_handle = hist_ref
 let hist t name v = Hist.add (hist_ref t name) v
 let histogram t name = Hashtbl.find_opt t.hists name
 

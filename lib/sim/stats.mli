@@ -73,10 +73,9 @@ val counter : t -> string -> int ref
     Hot paths (the engine's [consume], the health sampler's per-window
     sources) hold the ref and bump it directly instead of paying a string
     hash + table probe per increment. The ref stays valid for the life of
-    [t]; {!reset} and {!reset_all} zero it in place. *)
+    [t]; {!reset} zeroes it in place. *)
 
 val reset : t -> string -> unit
-val reset_all : t -> unit
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name. Sorts on every call — an export-time
@@ -87,10 +86,6 @@ val counters : t -> (string * int) list
 
 val hist : t -> string -> int -> unit
 (** Record one value into the named bounded histogram. *)
-
-val hist_handle : t -> string -> Hist.t
-(** Interned histogram handle, the {!counter} analogue: record through
-    the returned histogram directly on hot paths. *)
 
 val histogram : t -> string -> Hist.t option
 val histograms : t -> (string * Hist.t) list

@@ -26,13 +26,6 @@ let prepared_intentions t txid =
 let prepared_files t txid =
   prepared_intentions t txid |> List.map (fun it -> it.Intentions.fid)
 
-let prepared_for_file t fid =
-  List.filter_map
-    (fun (txid, _) ->
-      if List.exists (File_id.equal fid) (prepared_files t txid) then Some txid
-      else None)
-    t.prepared
-
 let coordinator_of t txid = find t txid |> Option.map (fun e -> e.coordinator_site)
 
 let remove t txid =

@@ -46,11 +46,6 @@ val prepared_transactions : t -> Txid.t list
 val prepared_files : t -> Txid.t -> File_id.t list
 (** Files named by the transaction's prepare records at this site. *)
 
-val prepared_for_file : t -> File_id.t -> Txid.t list
-(** Transactions prepared here whose intentions touch [fid] — what a
-    freshly installed lock-manager must relock before granting anyone
-    else (locus_shard double-crash protection). *)
-
 val coordinator_of : t -> Txid.t -> int option
 (** The coordinator site recorded with the transaction's prepare record,
     if it is prepared here. *)

@@ -19,11 +19,6 @@ let start t ~txid ~top_pid =
 
 let find t txid = Txid.Map.find_opt txid t.txns
 
-let find_exn t txid =
-  match find t txid with
-  | Some txn -> txn
-  | None -> invalid_arg "Txn_state: unknown transaction"
-
 let remove t txid = t.txns <- Txid.Map.remove txid t.txns
 let active t = List.map snd (Txid.Map.bindings t.txns)
 

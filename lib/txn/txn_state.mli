@@ -22,7 +22,6 @@ val create : unit -> t
 
 val start : t -> txid:Txid.t -> top_pid:Pid.t -> txn
 val find : t -> Txid.t -> txn option
-val find_exn : t -> Txid.t -> txn
 val remove : t -> Txid.t -> unit
 val active : t -> txn list
 
