@@ -232,3 +232,78 @@ let suite =
             test_gate_survives_killed_waiters;
         ] );
     ]
+
+(* A top-level process that fails inside its own transaction was counted
+   as two aborts: the failure handler aborted the transaction, and the
+   exit path aborted it again because the process still named it. *)
+let test_failed_process_aborts_once () =
+  let sim = L.make ~n_sites:2 () in
+  let aborts = ref 0 in
+  K.set_observer sim.L.cluster
+    (Some
+       (fun r ->
+         match r.Locus_core.Obs.ev with
+         | Locus_core.Obs.Abort _ -> incr aborts
+         | _ -> ()));
+  ignore
+    (Api.spawn_process sim.L.cluster ~site:0 (fun env ->
+         let c = Api.creat env "/f" ~vid:1 in
+         Api.begin_trans env;
+         Api.write_string env c "doomed";
+         Api.fail env "failure inside the transaction"));
+  L.run sim;
+  let stat = L.Stats.get (L.Engine.stats sim.L.engine) in
+  Alcotest.(check int) "one abort request" 1 (stat "txn.abort_requests");
+  Alcotest.(check int) "one user abort" 1 (stat "txn.abort.user");
+  Alcotest.(check int) "one process failure" 1 (stat "proc.failures");
+  Alcotest.(check int) "one Abort record" 1 !aborts
+
+(* An abort whose fiber is killed part-way (in the simulation, a lock
+   waiter running a deadlock scan that is aborted in turn) used to wake
+   the aborts queued behind it as if it had finished, leaving the
+   transaction registered, its process running and its locks held. *)
+let test_waiter_finishes_interrupted_abort () =
+  let sim = L.make ~n_sites:2 () in
+  let cl = sim.L.cluster in
+  let e = sim.L.engine in
+  let p =
+    Api.spawn_process cl ~site:1 (fun env ->
+        let c = Api.creat env "/f" ~vid:1 in
+        Api.begin_trans env;
+        Api.write_string env c "held";
+        E.sleep 10_000_000;
+        ignore (Api.end_trans env))
+  in
+  let registered = ref true in
+  ignore
+    (E.spawn ~site:0 e (fun () ->
+         E.sleep 1_000_000;
+         let txid = List.hd (K.active_transactions cl) in
+         let first =
+           E.spawn ~site:0 e (fun () -> K.abort_transaction cl ~src:0 txid)
+         in
+         let waiter =
+           E.spawn ~site:0 e (fun () ->
+               K.abort_transaction cl ~src:0 txid;
+               registered := K.transaction_top cl txid <> None)
+         in
+         ignore waiter;
+         (* The first abort is now waiting on a remote reply. *)
+         E.sleep 100;
+         E.kill e first));
+  L.run sim;
+  Alcotest.(check bool) "transaction unregistered" false !registered;
+  Alcotest.(check bool) "its process is gone" true
+    (E.Ivar.peek (K.exit_ivar cl p) = Some ())
+
+let suite =
+  suite
+  @ [
+      ( "regressions.abort",
+        [
+          Alcotest.test_case "failed process aborts once" `Quick
+            test_failed_process_aborts_once;
+          Alcotest.test_case "waiter finishes an interrupted abort" `Quick
+            test_waiter_finishes_interrupted_abort;
+        ] );
+    ]
