@@ -130,9 +130,10 @@ let rpc_lock_authority env fid msg =
 let note_use env fid =
   if in_transaction env then Process.note_file_use env.proc fid
 
-(* Forget the process's transaction once it has been aborted. *)
-let drop_txn env =
+(* Abort the process's transaction, sparing the process, and forget it. *)
+let abort_own env txid =
   let p = env.proc in
+  Kernel.abort_transaction env.cl ~spare:p.Process.pid ~src:(site env) txid;
   close_txn_span env "aborted";
   p.Process.txid <- None;
   p.Process.nesting <- 0;
@@ -180,12 +181,7 @@ let run_process cl k0 proc fiber_ref f =
   | exception Engine.Killed -> raise Engine.Killed
   | exception (Process_failure _ | Error _) ->
     Stats.incr (Engine.stats (Kernel.engine cl)) "proc.failures";
-    (match env.proc.Process.txid with
-    | Some txid ->
-      Kernel.abort_transaction env.cl ~spare:env.proc.Process.pid
-        ~src:(site env) txid;
-      drop_txn env
-    | None -> ());
+    Option.iter (abort_own env) env.proc.Process.txid;
     finish_process env
 
 let spawn_process cl ~site:s ?(name = "proc") f =
@@ -1023,9 +1019,6 @@ let end_trans env =
 let abort_trans env =
   with_syscall env "sys.abort_trans" @@ fun () ->
   syscall env;
-  let p = env.proc in
-  match p.Process.txid with
+  match env.proc.Process.txid with
   | None -> raise (Error "abort_trans: not in a transaction")
-  | Some txid ->
-    Kernel.abort_transaction env.cl ~spare:p.Process.pid ~src:(site env) txid;
-    drop_txn env
+  | Some txid -> abort_own env txid

@@ -223,8 +223,7 @@ val forget_fiber : t -> Pid.t -> unit
 val note_location : cluster -> Pid.t -> Site.t -> unit
 val locate_process : cluster -> src:Site.t -> Pid.t -> Site.t option
 (** Where a process runs: its location hint while that site is up, else
-    a search that verifies the hint by message and then polls every
-    reachable site. Fiber-only. *)
+    a [Find_process] probe of every reachable site. Fiber-only. *)
 
 val exit_ivar : cluster -> Pid.t -> unit Engine.Ivar.t
 (** Created on demand; filled when the process exits (for [Api.wait]). *)
@@ -259,22 +258,14 @@ val commit_transaction : t -> Txn_state.txn -> outcome
     parallel prepares, decision, asynchronous phase 2 (§4.2). Call from
     the top-level process's fiber once every member has completed. *)
 
-type abort_reason = Deadlock | Orphan | Crash | Degraded_vote | Coordinator_lost | User
-(** Why a transaction died — counted as first-class [txn.abort.<reason>]
-    stats counters (the taxonomy exists with or without a span collector).
-    [Degraded_vote] is counted by the 2PC decision path when any
-    participant votes no (degraded replica, denied prepare, or an
-    unreachable site); [Coordinator_lost] by a Paxos Commit resolver that
-    learned an abort from the acceptor quorum after losing sight of the
-    coordinator; the others classify {!abort_transaction} calls. *)
-
 val abort_transaction :
-  cluster -> ?spare:Pid.t -> ?reason:abort_reason -> src:Site.t -> Txid.t -> unit
-(** Cascade abort (§4.3): locate the top-level process, roll back every
-    member process's files, release locks, kill member fibers (sparing the
-    caller's), wake a parked [end_trans] with [Aborted]. Safe to call from
-    any fiber, including a member of the transaction itself. [reason]
-    (default [User]) feeds the abort taxonomy counters. *)
+  cluster -> ?spare:Pid.t -> ?reason:Msg.abort_reason -> src:Site.t -> Txid.t -> unit
+(** Cascade abort (§4.3), run at the top-level process's site, which
+    counts it once under [reason] (default [User]): roll back every
+    member's files, which releases its locks and cancels its queued
+    waits, kill member fibers (sparing the caller's) and wake a parked
+    [end_trans] with [Aborted]. Safe to call from any fiber, including a
+    member of the transaction itself. *)
 
 val member_exit : cluster -> src:Site.t -> Locus_proc.Process.t -> unit
 (** Run the member-process exit protocol for a transaction member: merge

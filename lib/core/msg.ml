@@ -1,3 +1,5 @@
+type abort_reason = Deadlock | Orphan | Crash | Degraded_vote | Coordinator_lost | User
+
 type t =
   | Open of { fid : File_id.t }
   | Close of { fid : File_id.t; owner : Owner.t; commit_on_close : bool }
@@ -41,7 +43,8 @@ type t =
     }
   | Commit_phase2 of { txid : Txid.t; files : File_id.t list }
   | Abort_phase2 of { txid : Txid.t; files : File_id.t list }
-  | Abort_tree of { txid : Txid.t; pid : Pid.t; spare : Pid.t option }
+  | Abort_tree of
+      { txid : Txid.t; pid : Pid.t; spare : Pid.t option; reason : abort_reason }
   | Query_outcome of { txid : Txid.t }
   | Vote_2a of {
       txid : Txid.t;

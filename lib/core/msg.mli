@@ -6,6 +6,13 @@
     messages (§4.2–4.3), outcome queries for recovery (§4.4), and replica
     propagation (§5.2). *)
 
+type abort_reason = Deadlock | Orphan | Crash | Degraded_vote | Coordinator_lost | User
+(** Why a transaction died, counted as [txn.abort.<reason>] with or
+    without a span collector. [Degraded_vote]: a participant voted no
+    (degraded replica, denied prepare, unreachable site);
+    [Coordinator_lost]: a Paxos Commit resolver learned an abort from the
+    acceptors; the others classify [Kernel.abort_transaction] calls. *)
+
 type t =
   | Open of { fid : File_id.t }
   | Close of { fid : File_id.t; owner : Owner.t; commit_on_close : bool }
@@ -53,9 +60,11 @@ type t =
           registered vote learns which consensus instances exist *)
   | Commit_phase2 of { txid : Txid.t; files : File_id.t list }
   | Abort_phase2 of { txid : Txid.t; files : File_id.t list }
-  | Abort_tree of { txid : Txid.t; pid : Pid.t; spare : Pid.t option }
-      (** cascade abort to the member process [pid] at the target site
-          (§4.3); [spare]'s fiber is not killed (it issued the abort) *)
+  | Abort_tree of
+      { txid : Txid.t; pid : Pid.t; spare : Pid.t option; reason : abort_reason }
+      (** cascade abort to the process [pid] at the target site (§4.3);
+          [spare]'s fiber is not killed (it issued the abort). A site that
+          does not have [pid] running answers [R_found false]. *)
   | Query_outcome of { txid : Txid.t }
   | Vote_2a of {
       txid : Txid.t;

@@ -162,7 +162,12 @@ let run cfg =
                  (match run_ops env ~stripes:sites ops with
                  | K.Committed -> incr completed
                  | K.Aborted -> incr aborted
-                 | exception (Api.Error _ | Api.Process_failure _) -> incr aborted);
+                 | exception (Api.Error _ | Api.Process_failure _) -> incr aborted
+                 | exception Engine.Killed ->
+                   (* The transaction's abort killed the process. *)
+                   incr aborted;
+                   last_done := Engine.now eng;
+                   raise Engine.Killed);
                  last_done := Engine.now eng)))
   in
   (* Open loop: the next arrival is armed from the arrival process alone —
