@@ -81,12 +81,7 @@ let run_txn ?(two_write_log = false) ?(async_phase2 = true) ~n_files ~pages_per_
    updated page is flushed once, each volume logs one prepare record and
    each file's inode is written once. *)
 let claims =
-  let per_row name key want =
-    Gate.claim name
-      (Gate.each "" (fun r ->
-           let v = Gate.field r in
-           Gate.verdict (v key = want v) "%g" (v key)))
-  in
+  let per_row = Gate.each_equals "" in
   [
     per_row "coordinator log = 2" "coord_log" (fun _ -> 2.);
     per_row "data flush = pages x files" "data_flush" (fun v -> v "pages" *. v "files");

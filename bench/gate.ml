@@ -44,6 +44,13 @@ let bound op sym p key limit =
 let at_least = bound ( >= ) ">="
 let at_most = bound ( <= ) "<="
 
+(* [key] equals [want], a function of the row's fields, on every [p] row. *)
+let each_equals p name key want =
+  claim name
+    (each p (fun r ->
+         let v = field r in
+         verdict (v key = want v) "%g" (v key)))
+
 (* [ok v v0] for each [p] row's [key] against the [reference] row's. *)
 let versus name p ~reference key ok =
   claim name (fun rows ->
