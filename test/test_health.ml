@@ -268,6 +268,34 @@ let test_kill_coordinator_raises_in_doubt_alarm () =
   Alcotest.(check bool) "in_doubt series exists" true
     (List.mem_assoc "in_doubt" (List.map (fun (n, s) -> (n, s)) (K.health_series cl)))
 
+(* {1 Arming the plane never keeps a run alive} *)
+
+(* Every RPC leaves a cancelled 30 s timeout timer queued. The sampler
+   must stop at the drain anyway: the armed run ends within one window of
+   the unarmed one, and the retained ring still shows the workload. *)
+let drain_window = 100_000
+
+let drain_runs =
+  lazy
+    (let spec = W.gen ~seed:42 ~sites:3 () in
+     (snd (W.run ~seed:42 spec), snd (W.run ~health:drain_window ~seed:42 spec)))
+
+let test_armed_run_ends_at_drain () =
+  let off, on = Lazy.force drain_runs in
+  let t_off = L.Engine.now off.L.engine and t_on = L.Engine.now on.L.engine in
+  Alcotest.(check bool)
+    (Printf.sprintf "armed run ends at %d us, unarmed at %d us" t_on t_off)
+    true
+    (t_on >= t_off && t_on <= t_off + drain_window)
+
+let test_armed_ring_keeps_workload () =
+  let _, on = Lazy.force drain_runs in
+  match List.assoc_opt "msgs" (K.health_series on.L.cluster) with
+  | None -> Alcotest.fail "no msgs series"
+  | Some s ->
+    Alcotest.(check bool) "a retained msgs window saw traffic" true
+      (List.exists (fun p -> p.H.Series.p_value > 0) (H.Series.points s))
+
 (* {1 The two sweep oracles and the inversion} *)
 
 let health_cfg fault_every =
@@ -317,6 +345,10 @@ let suite =
           test_health_rpc_and_poll;
         Alcotest.test_case "coordinator kill raises in_doubt_age" `Quick
           test_kill_coordinator_raises_in_doubt_alarm;
+        Alcotest.test_case "armed run ends at the drain" `Quick
+          test_armed_run_ends_at_drain;
+        Alcotest.test_case "armed ring keeps the workload" `Quick
+          test_armed_ring_keeps_workload;
         Alcotest.test_case "sweep: clean seeds raise no alarm" `Quick
           test_sweep_clean_no_false_alarms;
         Alcotest.test_case "sweep: kill seeds must alarm" `Quick

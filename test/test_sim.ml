@@ -215,6 +215,24 @@ let test_await_timeout () =
   (* The satisfied await's 5000us timer must not stretch virtual time. *)
   Alcotest.(check int) "clock stops at 50" 50 !tend
 
+(* A cancelled timer stays queued until the dispatch loop skips it, but it
+   is no longer work: [pending_events] must not count it, or a loop that
+   polls "is anything left?" (the health sampler) outlives the run. *)
+let test_cancelled_timer_not_pending () =
+  let t = E.create () in
+  let iv = E.Ivar.create () in
+  ignore (E.spawn t (fun () -> ignore (E.await_timeout iv ~timeout:5000)));
+  ignore
+    (E.spawn t (fun () ->
+         E.sleep 20;
+         E.fill t iv ()));
+  E.run ~until:100 t;
+  Alcotest.(check int) "timer cancelled but queued: nothing pending" 0
+    (E.pending_events t);
+  E.run t;
+  Alcotest.(check int) "skipping it does not go negative" 0 (E.pending_events t);
+  Alcotest.(check int) "clock stays at the pause" 100 (E.now t)
+
 let test_kill () =
   let reached = ref false in
   ignore
@@ -296,6 +314,8 @@ let suite =
         Alcotest.test_case "ivar" `Quick test_ivar;
         Alcotest.test_case "ivar immediate" `Quick test_ivar_immediate;
         Alcotest.test_case "await timeout" `Quick test_await_timeout;
+        Alcotest.test_case "cancelled timer not pending" `Quick
+          test_cancelled_timer_not_pending;
         Alcotest.test_case "kill" `Quick test_kill;
         Alcotest.test_case "kill unwinds" `Quick test_kill_unwinds;
         Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
