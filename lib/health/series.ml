@@ -1,46 +1,35 @@
 type point = { p_start_us : int; p_end_us : int; p_value : int }
 
-(* Newest-first list bounded to [keep] points: push is O(1) amortized via
-   a length counter, and the window count stays small (default 64), so a
-   long run holds a sliding view instead of growing without bound. *)
-type t = {
-  s_name : string;
-  s_keep : int;
-  mutable s_points : point list;  (* newest first *)
-  mutable s_len : int;
-  mutable s_pushed : int;
-}
+(* A fixed ring of [keep] slots: push [n] writes slot [n mod keep], so a
+   window close costs one point record however long the run is. Slots not
+   yet written hold [blank], whose value 0 leaves [peak] and [total] as
+   they are. *)
+type t = { s_name : string; s_ring : point array; mutable s_pushed : int }
+
+let blank = { p_start_us = 0; p_end_us = 0; p_value = 0 }
 
 let create ?(keep = 64) name =
   if keep <= 0 then invalid_arg "Series.create: keep must be > 0";
-  { s_name = name; s_keep = keep; s_points = []; s_len = 0; s_pushed = 0 }
+  { s_name = name; s_ring = Array.make keep blank; s_pushed = 0 }
 
 let name t = t.s_name
-let keep t = t.s_keep
+let keep t = Array.length t.s_ring
 let pushed t = t.s_pushed
 
-let truncate t =
-  if t.s_len > t.s_keep then begin
-    (* Drop the oldest (tail) points; rare, so the rebuild is fine. *)
-    t.s_points <-
-      List.filteri (fun i _ -> i < t.s_keep) t.s_points;
-    t.s_len <- t.s_keep
-  end
-
 let push t ~start_us ~end_us v =
-  t.s_points <-
-    { p_start_us = start_us; p_end_us = end_us; p_value = v } :: t.s_points;
-  t.s_len <- t.s_len + 1;
-  t.s_pushed <- t.s_pushed + 1;
-  truncate t
+  t.s_ring.(t.s_pushed mod keep t) <-
+    { p_start_us = start_us; p_end_us = end_us; p_value = v };
+  t.s_pushed <- t.s_pushed + 1
 
-let points t = List.rev t.s_points
-let last t = match t.s_points with [] -> None | p :: _ -> Some p
+let points t =
+  let n = min t.s_pushed (keep t) in
+  List.init n (fun i -> t.s_ring.((t.s_pushed - n + i) mod keep t))
 
-let peak t =
-  List.fold_left (fun acc p -> max acc p.p_value) 0 t.s_points
+let last t =
+  if t.s_pushed = 0 then None else Some t.s_ring.((t.s_pushed - 1) mod keep t)
 
-let total t = List.fold_left (fun acc p -> acc + p.p_value) 0 t.s_points
+let peak t = Array.fold_left (fun acc p -> max acc p.p_value) 0 t.s_ring
+let total t = Array.fold_left (fun acc p -> acc + p.p_value) 0 t.s_ring
 
 (* Compact spark rendering for `locusctl top`: one glyph per retained
    window, oldest left, scaled against the series peak. *)
@@ -49,7 +38,7 @@ let spark t =
                   "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";
                   "\xe2\x96\x87"; "\xe2\x96\x88" |] in
   let hi = peak t in
-  let b = Buffer.create (t.s_len * 3) in
+  let b = Buffer.create (keep t * 3) in
   List.iter
     (fun p ->
       let i =
@@ -69,7 +58,7 @@ let pp_json ppf t =
   (* Series names are code-chosen identifiers, so OCaml string escaping
      is JSON-compatible here. *)
   Fmt.pf ppf "{\"name\": %S, \"keep\": %d, \"pushed\": %d, \"points\": [%a]}"
-    t.s_name t.s_keep t.s_pushed
+    t.s_name (keep t) t.s_pushed
     (Fmt.list ~sep:(Fmt.any ", ") pp_point_json)
     (points t)
 

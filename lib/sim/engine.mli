@@ -64,10 +64,12 @@ val set_site : t -> Fiber.handle -> int -> unit
     crash of the new site must kill it and a crash of the old must not). *)
 
 val pending_events : t -> int
-(** Scheduled events not yet fired, including cancelled ones still queued
-    (a cancelled event is skipped without advancing the clock when
-    popped). Tests use this to prove abandoned timers — e.g. a batch
-    window's {!await_timeout} whose ivar filled first — do not leak. *)
+(** Live scheduled events not yet fired. A cancelled timer (e.g. an
+    {!await_timeout} whose ivar filled first, as every answered RPC's
+    timeout is) stays queued until the dispatch loop skips it without
+    advancing the clock, but it is not counted: 0 means nothing is left
+    that can change the state, which is how the health sampler knows the
+    run has drained. *)
 
 val events_fired : t -> int
 (** Events dispatched over the engine's lifetime (cancelled events do not
