@@ -2471,8 +2471,9 @@ let health_arm cl =
     let rec tick () =
       health_tick cl hp;
       (* Our own event has already been popped: anything still pending is
-         real work, so keep sampling; an otherwise-empty queue means the
-         run is quiescing and this was the final window. *)
+         real work (cancelled timers are not counted), so keep sampling;
+         nothing pending means the run has drained and this was the final
+         window. *)
       if Engine.pending_events e > 0 then Engine.schedule ~delay:window_us e tick
     in
     Engine.schedule ~delay:window_us e tick
