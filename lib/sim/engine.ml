@@ -50,11 +50,12 @@ type t = {
    results are untouched — only host throughput collapses, which is
    exactly what e21's events/s floor (bench/exp_load.ml) must catch. *)
 let break_scan t =
-  (* The constant keeps the collapse visible even when the pending queue
-     is short (open-loop runs hold tens of events, not thousands): the
-     wall rate must fall far enough below any sane events/s floor
-     that the inverted self-test can never squeak through. *)
-  let n = 2048 + (256 * Pqueue.length t.events) in
+  (* The constants keep the collapse visible even when the queue is
+     short (compaction holds open-loop runs to tens of events, not
+     thousands): the wall rate must fall ~25x or more, far enough below
+     any sane events/s floor that the inverted self-test can never
+     squeak through on a faster host. *)
+  let n = 12288 + (1536 * Pqueue.length t.events) in
   let s = ref 0 in
   for i = 0 to n - 1 do
     s := !s + Sys.opaque_identity i
@@ -107,17 +108,26 @@ let push_ev ~delay t ev =
 
 let schedule ?(delay = 0) t f = push_ev ~delay t (Call f)
 
+let live = function Cancellable c -> not c.cancelled | Call _ | Resume _ -> true
+
 (* Like [schedule], returning a canceller: a cancelled event is skipped
    without advancing the clock, so abandoned timers (e.g. an await_timeout
    whose ivar filled first) do not stretch virtual time. A timer counts as
-   [dead] from its cancel until the dispatch loop skips it; the one caller,
-   [await_timeout], cancels at most once and only before the timer fires. *)
+   [dead] from its cancel until the dispatch loop skips it or a compaction
+   drops it; the one caller, [await_timeout], cancels at most once and
+   only before the timer fires. Every answered RPC cancels its 30 s
+   timeout, so once the dead are more than half the heap they are dropped
+   in one O(n) pass, which keeps the heap, and each pop, short. *)
 let schedule_cancellable ?(delay = 0) t f =
   let c = { cancelled = false; cf = f } in
   push_ev ~delay t (Cancellable c);
   fun () ->
     c.cancelled <- true;
-    t.dead <- t.dead + 1
+    t.dead <- t.dead + 1;
+    if t.dead > 32 && 2 * t.dead > Pqueue.length t.events then begin
+      Pqueue.retain t.events live;
+      t.dead <- 0
+    end
 
 let record_failure t e =
   if t.failure = None then t.failure <- Some (e, Printexc.get_raw_backtrace ())
@@ -280,6 +290,8 @@ let consume t ~instr =
    - events fire in strict (time, seq) order (determinism);
    - a cancelled timer is skipped without advancing the clock or
      counting as fired;
+   - cancelled timers are at most half the heap, or 32 (the canceller
+     compacts), and [t.dead] counts exactly those still queued;
    - [t.now] never moves backwards;
    - the loop allocates nothing per event: [pop_into] reuses [t.slot]
      and the [ev] variants are interpreted in place. *)

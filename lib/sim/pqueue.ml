@@ -10,6 +10,7 @@ type 'a t = {
   mutable times : int array;
   mutable seqs : int array;
   mutable vals : 'a array;
+  mutable boxed : bool;  (* [vals] is not a flat float array *)
   mutable size : int;
 }
 
@@ -17,7 +18,7 @@ type 'a slot = { mutable s_time : int; mutable s_seq : int; mutable s_value : 'a
 
 let make_slot v = { s_time = 0; s_seq = 0; s_value = v }
 
-let create () = { times = [||]; seqs = [||]; vals = [||]; size = 0 }
+let create () = { times = [||]; seqs = [||]; vals = [||]; boxed = true; size = 0 }
 let is_empty t = t.size = 0
 let length t = t.size
 
@@ -37,24 +38,25 @@ let swap t i j =
   t.vals.(i) <- t.vals.(j);
   t.vals.(j) <- vi
 
-(* Grow before writing slot [t.size]. The filler for the fresh value
-   array is the value about to be pushed, so growth never has to read an
-   existing slot — the invariant holds unconditionally, including on the
-   very first push and after a drain back to empty (the old code read
-   [arr.(0)] as filler and was correct only because a special case kept
-   it from running on an empty heap). *)
-let ensure_capacity t filler =
+(* Grow before writing slot [t.size]. Unused slots hold an immediate, not
+   a value, so that no value outlives its time in the heap (the engine's
+   cancelled timers capture fiber continuations); only a float heap,
+   whose array is flat and holds no pointers, is filled with the value
+   about to be pushed. *)
+let ensure_capacity t v =
   let cap = Array.length t.vals in
   if t.size = cap then begin
     let ncap = max 16 (2 * cap) in
     let ntimes = Array.make ncap 0 and nseqs = Array.make ncap 0 in
     Array.blit t.times 0 ntimes 0 t.size;
     Array.blit t.seqs 0 nseqs 0 t.size;
-    let nvals = Array.make ncap filler in
+    let flat = Obj.tag (Obj.repr v) = Obj.double_tag in
+    let nvals = Array.make ncap (if flat then v else Obj.magic 0) in
     Array.blit t.vals 0 nvals 0 t.size;
     t.times <- ntimes;
     t.seqs <- nseqs;
-    t.vals <- nvals
+    t.vals <- nvals;
+    t.boxed <- not flat
   end
 
 let push t ~time ~seq value =
@@ -76,8 +78,12 @@ let push t ~time ~seq value =
     i := parent
   done
 
-let sift_down t =
-  let i = ref 0 in
+(* Overwrite a vacated slot, so that a value popped or dropped from the
+   heap is not kept reachable by it. *)
+let vacate t i = if t.boxed then t.vals.(i) <- Obj.magic 0
+
+let sift_down t i =
+  let i = ref i in
   let continue = ref true in
   while !continue do
     let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
@@ -103,8 +109,9 @@ let pop_into t slot =
       t.times.(0) <- t.times.(n);
       t.seqs.(0) <- t.seqs.(n);
       t.vals.(0) <- t.vals.(n);
-      sift_down t
+      sift_down t 0
     end;
+    vacate t n;
     true
   end
 
@@ -118,9 +125,31 @@ let pop t =
       t.times.(0) <- t.times.(n);
       t.seqs.(0) <- t.seqs.(n);
       t.vals.(0) <- t.vals.(n);
-      sift_down t
+      sift_down t 0
     end;
+    vacate t n;
     Some (time, seq, v)
   end
+
+(* Keys are unique, so rebuilding the heap bottom-up (Floyd, O(n)) cannot
+   change the order in which the kept entries pop. *)
+let retain t keep =
+  let n = t.size in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    if keep t.vals.(i) then begin
+      t.times.(!j) <- t.times.(i);
+      t.seqs.(!j) <- t.seqs.(i);
+      t.vals.(!j) <- t.vals.(i);
+      incr j
+    end
+  done;
+  t.size <- !j;
+  for i = !j to n - 1 do
+    vacate t i
+  done;
+  for i = (!j / 2) - 1 downto 0 do
+    sift_down t i
+  done
 
 let min_time t = if t.size = 0 then max_int else t.times.(0)

@@ -7,7 +7,8 @@
     The heap is laid out as parallel arrays (times / seqs / values), so a
     [push]/[pop_into] cycle performs no allocation — this is the
     simulator's hot path and the open-loop traffic engine pushes it to
-    millions of events per second. *)
+    millions of events per second. A slot that {!pop}, {!pop_into} or
+    {!retain} vacates no longer references its value. *)
 
 type 'a t
 
@@ -33,6 +34,11 @@ val pop_into : 'a t -> 'a slot -> bool
 val pop : 'a t -> (int * int * 'a) option
 (** Remove and return the minimum [(time, seq, value)]. Allocating
     convenience form of {!pop_into}. *)
+
+val retain : 'a t -> ('a -> bool) -> unit
+(** [retain t keep] drops every entry whose value fails [keep] and
+    rebuilds the heap in O(n). The kept entries pop in the same
+    [(time, seq)] order as before. *)
 
 val min_time : 'a t -> int
 (** Time of the minimum element, [max_int] when empty. Allocation-free,
