@@ -1,4 +1,3 @@
-module Wfg = Locus_deadlock.Wfg
 module Process = Locus_proc.Process
 module Proc_table = Locus_proc.Proc_table
 module Otrace = Locus_otrace.Otrace
