@@ -67,9 +67,10 @@ val pending_events : t -> int
 (** Live scheduled events not yet fired. A cancelled timer (e.g. an
     {!await_timeout} whose ivar filled first, as every answered RPC's
     timeout is) stays queued until the dispatch loop skips it without
-    advancing the clock, but it is not counted: 0 means nothing is left
-    that can change the state, which is how the health sampler knows the
-    run has drained. *)
+    advancing the clock, or until the cancelled timers are over half the
+    queue and are dropped together, but it is never counted: 0 means
+    nothing is left that can change the state, which is how the health
+    sampler knows the run has drained. *)
 
 val events_fired : t -> int
 (** Events dispatched over the engine's lifetime (cancelled events do not
