@@ -74,9 +74,19 @@ let chan_exn env c =
 
 let owner env = Process.owner env.proc
 
+(* The value of [msg]'s reply; an error fails the syscall with
+   [Error "<label>: <error>"]. *)
+let expect msg = function
+  | Ok v -> v
+  | Stdlib.Error e ->
+    raise (Error (Fmt.str "%s: %a" (Msg.label msg) Msg.pp_error e))
+
+let call env ~dst msg = expect msg (Kernel.rpc env.cl ~src:(site env) ~dst msg)
+
 let rpc_storage env fid msg =
-  let dst = Kernel.storage_site env.cl fid in
-  Kernel.rpc env.cl ~src:(site env) ~dst msg
+  Kernel.rpc env.cl ~src:(site env) ~dst:(Kernel.storage_site env.cl fid) msg
+
+let storage env fid msg = expect msg (rpc_storage env fid msg)
 
 (* A reachable replica host when a partition hides the current primary;
    [None] when the primary is reachable (or nothing else is). Election
@@ -93,30 +103,30 @@ let reachable_secondary env fid =
       (fun h -> h <> primary && Transport.reachable net s h)
       (Kernel.replica_sites env.cl fid)
 
-(* Storage-site rpc for operations a secondary can also serve (open /
+(* Storage-site call for operations a secondary can also serve (open /
    close bookkeeping): prefer the primary, fail over across a partition. *)
-let rpc_storage_or_replica env fid msg =
+let storage_or_replica env fid msg =
   match reachable_secondary env fid with
-  | Some dst -> Kernel.rpc env.cl ~src:(site env) ~dst msg
-  | None -> rpc_storage env fid msg
+  | Some dst -> call env ~dst msg
+  | None -> storage env fid msg
 
 (* Lock operations go to the current lock authority (the storage site,
    or the locus_shard lock-manager role): start from the hint, follow
    redirects, fall back to the storage site. Under dynamic placement a
-   stale hint may also bounce ([R_retry], e.g. mid-migration or an
+   stale hint may also bounce ([Retry], e.g. mid-migration or an
    unreachable directory) — sleep and re-chase, never fail a lock on
    staleness alone. *)
 let rpc_lock_authority env fid msg =
   let bound = if Kernel.sharded env.cl then 24 else 8 in
   let rec go tries dst =
     match Kernel.rpc env.cl ~src:(site env) ~dst msg with
-    | Msg.R_redirect d when tries < bound ->
+    | Stdlib.Error (Msg.Redirect d) when tries < bound ->
       Kernel.note_lock_authority env.cl fid d;
       go (tries + 1) d
-    | Msg.R_retry when Kernel.sharded env.cl && tries < bound ->
+    | Stdlib.Error Msg.Retry when Kernel.sharded env.cl && tries < bound ->
       Engine.sleep 2_000;
       go (tries + 1) dst
-    | r -> r
+    | (Ok _ | Stdlib.Error _) as r -> r
   in
   let start =
     match Kernel.lock_authority_hint env.cl fid with
@@ -126,6 +136,8 @@ let rpc_lock_authority env fid msg =
       else Kernel.storage_site env.cl fid
   in
   go 0 start
+
+let lock_authority env fid msg = expect msg (rpc_lock_authority env fid msg)
 
 let note_use env fid =
   if in_transaction env then Process.note_file_use env.proc fid
@@ -231,13 +243,14 @@ let fork env ?site:dst_opt ?(name = "child") f =
         match Kernel.locate_process env.cl ~src:(site env) top with
         | None -> raise (Error "fork: top-level process not found")
         | Some s -> (
-          match Kernel.rpc env.cl ~src:(site env) ~dst:s (Msg.Member_join { top; txid })
-          with
-          | Msg.R_ok -> ()
-          | Msg.R_retry ->
+          let msg = Msg.Member_join { top; txid } in
+          match Kernel.rpc env.cl ~src:(site env) ~dst:s msg with
+          | Ok () -> ()
+          | Stdlib.Error Msg.Retry ->
             Engine.sleep 2_000;
             join (tries + 1)
-          | r -> raise (Error (Fmt.str "fork: member join: %a" Msg.pp_reply r)))
+          | Stdlib.Error (Msg.Redirect _ | Msg.Refused _ | Msg.Net _) as r ->
+            expect msg r)
       end
     in
     join 0;
@@ -251,15 +264,10 @@ let fork env ?site:dst_opt ?(name = "child") f =
       child
     end
     else begin
-      match
-        Kernel.rpc env.cl ~src:(site env) ~dst
-          (Msg.Proc_arrive { payload = Kernel.encode_migration child None })
-      with
-      | Msg.R_ok -> (
-        match Proc_table.find (Kernel.procs target_k) child_pid with
-        | Some p -> p
-        | None -> raise (Error "fork: remote child vanished"))
-      | r -> raise (Error (Fmt.str "fork: remote spawn: %a" Msg.pp_reply r))
+      call env ~dst (Msg.Proc_arrive { payload = Kernel.encode_migration child None });
+      match Proc_table.find (Kernel.procs target_k) child_pid with
+      | Some p -> p
+      | None -> raise (Error "fork: remote child vanished")
     end
   in
   (* Inherited channels are additional references to the open files: the
@@ -295,7 +303,7 @@ let migrate env dst =
     in
     let payload = Kernel.encode_migration p txn_payload in
     match Kernel.rpc env.cl ~src:(site env) ~dst (Msg.Proc_arrive { payload }) with
-    | Msg.R_ok ->
+    | Ok () ->
       Proc_table.remove (Kernel.procs src_k) p.Process.pid;
       Kernel.forget_fiber src_k p.Process.pid;
       let new_k = Kernel.kernel env.cl dst in
@@ -313,7 +321,7 @@ let migrate env dst =
       | Some txid -> Kernel.update_member_site env.cl txid env.proc.Process.pid dst
       | None -> ());
       Stats.incr (stats env) "proc.migrations"
-    | _ ->
+    | Stdlib.Error _ ->
       (* Destination unreachable: the migration fails and the process
          stays put. *)
       (match txn_payload with
@@ -350,30 +358,20 @@ let decode_dir_entry s =
   | Some fid when name <> "" -> Some (name, fid)
   | _ -> None
 
-let dir_open env fid =
-  match rpc_storage env fid (Msg.Open { fid }) with
-  | Msg.R_ok -> ()
-  | r -> raise (Error (Fmt.str "dir open: %a" Msg.pp_reply r))
+let dir_open env fid = storage env fid (Msg.Open { fid })
 
 let dir_close env fid =
   ignore
     (rpc_storage env fid
        (Msg.Close { fid; owner = Owner.Process (pid env); commit_on_close = false }))
 
-let dir_size env fid =
-  match rpc_storage env fid (Msg.File_size { fid }) with
-  | Msg.R_int n -> n
-  | r -> raise (Error (Fmt.str "dir size: %a" Msg.pp_reply r))
+let dir_size env fid = storage env fid (Msg.File_size { fid })
 
 (* Directory reads are issued as the PROCESS (never the transaction): a
    momentary Figure-1 access that leaves no retained locks behind. *)
 let dir_read env fid ~pos ~len =
-  match
-    rpc_storage env fid
-      (Msg.Read { fid; reader = Owner.Process (pid env); pid = pid env; pos; len })
-  with
-  | Msg.R_data b -> b
-  | r -> raise (Error (Fmt.str "dir read: %a" Msg.pp_reply r))
+  storage env fid
+    (Msg.Read { fid; reader = Owner.Process (pid env); pid = pid env; pos; len })
 
 let dir_entries env fid =
   let size = dir_size env fid in
@@ -393,13 +391,13 @@ let with_dir_lock env fid f =
   let range = Byte_range.v ~lo:0 ~hi:dir_lock_span in
   let owner = Owner.Process (pid env) in
   (match
-     rpc_lock_authority env fid
+     lock_authority env fid
        (Msg.Lock
           { fid; owner; pid = pid env; mode = Mode.Exclusive; range;
             non_transaction = true; wait = true })
    with
-  | Msg.R_granted | Msg.R_granted_data _ -> ()
-  | r -> raise (Error (Fmt.str "dir lock: %a" Msg.pp_reply r)));
+  | Msg.Granted | Msg.Granted_data _ -> ()
+  | Msg.Conflict _ -> raise (Error "dir lock: conflict"));
   Fun.protect f ~finally:(fun () ->
       ignore
         (rpc_lock_authority env fid (Msg.Unlock { fid; owner; pid = pid env; range })))
@@ -411,22 +409,14 @@ let dir_add_entry env dir name fid =
       if dir_lookup env dir name <> None then raise (Name_exists name);
       let size = dir_size env dir in
       let entry = encode_dir_entry name fid in
-      (match
-         rpc_storage env dir
-           (Msg.Write
-              { fid = dir; owner = Owner.Process (pid env); pid = pid env;
-                pos = size; data = Bytes.of_string entry })
-       with
-      | Msg.R_ok -> ()
-      | r -> raise (Error (Fmt.str "dir write: %a" Msg.pp_reply r)));
+      storage env dir
+        (Msg.Write
+           { fid = dir; owner = Owner.Process (pid env); pid = pid env;
+             pos = size; data = Bytes.of_string entry });
       (* Directory updates are durable and visible immediately (§3.4):
          they do not ride on any enclosing transaction. *)
-      match
-        rpc_storage env dir
-          (Msg.Commit_file { fid = dir; owner = Owner.Process (pid env) })
-      with
-      | Msg.R_ok -> ()
-      | r -> raise (Error (Fmt.str "dir commit: %a" Msg.pp_reply r)))
+      storage env dir
+        (Msg.Commit_file { fid = dir; owner = Owner.Process (pid env) }))
 
 let split_path path =
   if String.length path = 0 || path.[0] <> '/' then
@@ -434,10 +424,7 @@ let split_path path =
   String.split_on_char '/' path |> List.filter (fun c -> c <> "")
 
 let create_node env ~vid =
-  let host = Kernel.storage_site env.cl (File_id.make ~vid ~ino:0) in
-  match Kernel.rpc env.cl ~src:(site env) ~dst:host (Msg.Create_file { vid }) with
-  | Msg.R_fid fid -> fid
-  | r -> raise (Error (Fmt.str "create: %a" Msg.pp_reply r))
+  storage env (File_id.make ~vid ~ino:0) (Msg.Create_file { vid })
 
 (* Walk (and optionally create) the directories leading to [path]'s leaf;
    returns the parent directory and the leaf name. Intermediate
@@ -555,9 +542,7 @@ let creat env path ~vid =
     ~finally:(fun () -> dir_close env parent);
   Kernel.bind_path env.cl path fid;
   Hashtbl.replace env.name_cache path fid;
-  (match rpc_storage env fid (Msg.Open { fid }) with
-  | Msg.R_ok -> ()
-  | r -> raise (Error (Fmt.str "creat: %a" Msg.pp_reply r)));
+  storage env fid (Msg.Open { fid });
   note_use env fid;
   Process.add_channel env.proc fid
 
@@ -568,24 +553,19 @@ let open_file env path =
      directory files, then cache the binding. *)
   match resolve_path env path with
   | None -> raise (Error (Printf.sprintf "open: no such file %s" path))
-  | Some fid -> (
-    match rpc_storage_or_replica env fid (Msg.Open { fid }) with
-    | Msg.R_ok ->
-      note_use env fid;
-      Process.add_channel env.proc fid
-    | r -> raise (Error (Fmt.str "open: %a" Msg.pp_reply r)))
+  | Some fid ->
+    storage_or_replica env fid (Msg.Open { fid });
+    note_use env fid;
+    Process.add_channel env.proc fid
 
 let close env c =
   with_syscall env "sys.close" @@ fun () ->
   syscall env;
   let ch = chan_exn env c in
   let commit_on_close = not (in_transaction env) in
-  (match
-     rpc_storage_or_replica env ch.Process.fid
-       (Msg.Close { fid = ch.Process.fid; owner = owner env; commit_on_close })
-   with
-  | Msg.R_ok -> if commit_on_close then Hashtbl.remove env.written_fids ch.Process.fid
-  | r -> raise (Error (Fmt.str "close: %a" Msg.pp_reply r)));
+  storage_or_replica env ch.Process.fid
+    (Msg.Close { fid = ch.Process.fid; owner = owner env; commit_on_close });
+  if commit_on_close then Hashtbl.remove env.written_fids ch.Process.fid;
   Hashtbl.remove env.lock_cache c;
   Hashtbl.remove env.page_cache c;
   Process.close_channel env.proc c
@@ -601,9 +581,7 @@ let size env c =
   with_syscall env "sys.size" @@ fun () ->
   syscall env;
   let ch = chan_exn env c in
-  match rpc_storage env ch.Process.fid (Msg.File_size { fid = ch.Process.fid }) with
-  | Msg.R_int n -> n
-  | r -> raise (Error (Fmt.str "size: %a" Msg.pp_reply r))
+  storage env ch.Process.fid (Msg.File_size { fid = ch.Process.fid })
 
 let set_append env c v = (chan_exn env c).Process.append <- v
 
@@ -678,12 +656,9 @@ let patch_cached_pages env c ~pos data =
    committed copy one-copy fresh. Our own pending writes live only in
    the primary's overlay, so any file we wrote goes there. *)
 let replica_read_rpc env fid ~dst ~pos ~len =
-  match
-    Kernel.rpc env.cl ~src:(site env) ~dst
-      (Msg.Replica_read { fid; reader = owner env; pid = pid env; pos; len })
-  with
-  | Msg.R_data b -> Some b
-  | _ -> None
+  Result.to_option
+    (Kernel.rpc env.cl ~src:(site env) ~dst
+       (Msg.Replica_read { fid; reader = owner env; pid = pid env; pos; len }))
 
 let local_replica_read env c fid ~pos ~len =
   let s = site env in
@@ -764,14 +739,12 @@ let read env c ~len =
     | None -> (
       if len > 0 then
         validate_access env c fid (Byte_range.of_pos_len ~pos:ch.Process.pos ~len);
-      match
-        rpc_storage env fid
+      let b =
+        storage env fid
           (Msg.Read { fid; reader = owner env; pid = pid env; pos = ch.Process.pos; len })
-      with
-      | Msg.R_data b ->
-        ch.Process.pos <- ch.Process.pos + len;
-        b
-      | r -> raise (Error (Fmt.str "read: %a" Msg.pp_reply r))))
+      in
+      ch.Process.pos <- ch.Process.pos + len;
+      b))
 
 let write env c data =
   with_syscall env "sys.write" @@ fun () ->
@@ -782,18 +755,14 @@ let write env c data =
   let len = Bytes.length data in
   if len > 0 then
     validate_access env c fid (Byte_range.of_pos_len ~pos:ch.Process.pos ~len);
-  match
-    (* Failover routing reaches the takeover copy when a partition hides
-       the primary — which then refuses the update with a clear degraded
-       error rather than letting the write time out. *)
-    rpc_storage_or_replica env fid
-      (Msg.Write { fid; owner = owner env; pid = pid env; pos = ch.Process.pos; data })
-  with
-  | Msg.R_ok ->
-    Hashtbl.replace env.written_fids fid ();
-    patch_cached_pages env c ~pos:ch.Process.pos data;
-    ch.Process.pos <- ch.Process.pos + len
-  | r -> raise (Error (Fmt.str "write: %a" Msg.pp_reply r))
+  (* Failover routing reaches the takeover copy when a partition hides
+     the primary — which then refuses the update with a clear degraded
+     error rather than letting the write time out. *)
+  storage_or_replica env fid
+    (Msg.Write { fid; owner = owner env; pid = pid env; pos = ch.Process.pos; data });
+  Hashtbl.replace env.written_fids fid ();
+  patch_cached_pages env c ~pos:ch.Process.pos data;
+  ch.Process.pos <- ch.Process.pos + len
 
 let pread env c ~pos ~len =
   seek env c ~pos;
@@ -810,24 +779,18 @@ let commit_file env c =
   syscall env;
   if not (in_transaction env) then begin
     let ch = chan_exn env c in
-    match
-      rpc_storage env ch.Process.fid
-        (Msg.Commit_file { fid = ch.Process.fid; owner = owner env })
-    with
-    | Msg.R_ok -> Hashtbl.remove env.written_fids ch.Process.fid
-    | r -> raise (Error (Fmt.str "commit_file: %a" Msg.pp_reply r))
+    storage env ch.Process.fid
+      (Msg.Commit_file { fid = ch.Process.fid; owner = owner env });
+    Hashtbl.remove env.written_fids ch.Process.fid
   end
 
 let abort_updates env c =
   with_syscall env "sys.abort_updates" @@ fun () ->
   syscall env;
   let ch = chan_exn env c in
-  match
-    rpc_storage env ch.Process.fid
-      (Msg.Abort_file { fid = ch.Process.fid; owner = owner env })
-  with
-  | Msg.R_ok -> Hashtbl.remove env.written_fids ch.Process.fid
-  | r -> raise (Error (Fmt.str "abort_updates: %a" Msg.pp_reply r))
+  storage env ch.Process.fid
+    (Msg.Abort_file { fid = ch.Process.fid; owner = owner env });
+  Hashtbl.remove env.written_fids ch.Process.fid
 
 (* {1 Record locking} *)
 
@@ -853,33 +816,29 @@ let lock env c ~len ~mode ?(non_transaction = false) ?(wait = true) () =
   if len <= 0 then raise (Error "lock: non-positive length");
   if ch.Process.append then begin
     (* EOF-relative: atomically extend-and-lock (§3.2). *)
-    match
-      rpc_storage env fid
+    let off =
+      storage env fid
         (Msg.Lock_append
            { fid; owner = owner env; pid = pid env; len; mode; non_transaction })
-    with
-    | Msg.R_granted_at off ->
-      ch.Process.pos <- off;
-      cache_lock env c (Byte_range.of_pos_len ~pos:off ~len) mode;
-      Granted
-    | Msg.R_conflict owners -> Conflict owners
-    | r -> raise (Error (Fmt.str "lock append: %a" Msg.pp_reply r))
+    in
+    ch.Process.pos <- off;
+    cache_lock env c (Byte_range.of_pos_len ~pos:off ~len) mode;
+    Granted
   end
   else begin
     let range = Byte_range.of_pos_len ~pos:ch.Process.pos ~len in
     match
-      rpc_lock_authority env fid
+      lock_authority env fid
         (Msg.Lock { fid; owner = owner env; pid = pid env; mode; range; non_transaction; wait })
     with
-    | Msg.R_granted ->
+    | Msg.Granted ->
       cache_lock env c range mode;
       Granted
-    | Msg.R_granted_data data ->
+    | Msg.Granted_data data ->
       cache_lock env c range mode;
       cache_pages env c range data;
       Granted
-    | Msg.R_conflict owners -> Conflict owners
-    | r -> raise (Error (Fmt.str "lock: %a" Msg.pp_reply r))
+    | Msg.Conflict owners -> Conflict owners
   end
 
 (* §3.3 lock-read piggybacking: a transaction's first read of a record
@@ -913,21 +872,15 @@ let read_locked env c ~len =
     let fid = ch.Process.fid in
     note_use env fid;
     let range = Byte_range.of_pos_len ~pos ~len in
-    match
-      rpc_storage env fid
+    (* The reader is the transaction, whose implicit lock is retained. *)
+    let b =
+      storage env fid
         (Msg.Read_locked { fid; reader = owner env; pid = pid env; pos; len })
-    with
-    | Msg.R_data_locked b ->
-      cache_lock env c range Mode.Shared;
-      Stats.incr (stats env) "lock.piggyback_reads";
-      ch.Process.pos <- pos + len;
-      b
-    | Msg.R_data b ->
-      (* Served without a retained lock (e.g. rare process-reader race):
-         data is good, but nothing may be cached. *)
-      ch.Process.pos <- pos + len;
-      b
-    | r -> raise (Error (Fmt.str "read_locked: %a" Msg.pp_reply r))
+    in
+    cache_lock env c range Mode.Shared;
+    Stats.incr (stats env) "lock.piggyback_reads";
+    ch.Process.pos <- pos + len;
+    b
 
 let pread_locked env c ~pos ~len =
   seek env c ~pos;
@@ -941,12 +894,7 @@ let unlock env c ~len =
   let range = Byte_range.of_pos_len ~pos:ch.Process.pos ~len in
   uncache_range env c range;
   drop_cached_pages env c range;
-  match
-    rpc_lock_authority env fid
-      (Msg.Unlock { fid; owner = owner env; pid = pid env; range })
-  with
-  | Msg.R_ok -> ()
-  | r -> raise (Error (Fmt.str "unlock: %a" Msg.pp_reply r))
+  lock_authority env fid (Msg.Unlock { fid; owner = owner env; pid = pid env; range })
 
 (* {1 Transactions} *)
 

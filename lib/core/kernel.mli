@@ -129,7 +129,7 @@ val make : Engine.t -> Config.t -> cluster
 
 val engine : cluster -> Engine.t
 val config : cluster -> Config.t
-val transport : cluster -> (Msg.env, Msg.reply) Transport.t
+val transport : cluster -> (Msg.env, Msg.packed) Transport.t
 val kernel : cluster -> Site.t -> t
 val kernels : cluster -> t list
 val site : t -> Site.t
@@ -170,9 +170,15 @@ val replica_sites : cluster -> File_id.t -> Site.t list
 (** {1 Kernel services used by the Api layer (fiber-only)} *)
 
 val rpc :
-  ?batched:bool -> ?rid:Msg.rid -> cluster -> src:Site.t -> dst:Site.t -> Msg.t -> Msg.reply
-(** Send a kernel message and await the reply; timeouts surface as
-    [R_err]. [batched] (default [false]) joins the RPC batch window;
+  ?batched:bool ->
+  ?rid:Msg.rid ->
+  cluster ->
+  src:Site.t ->
+  dst:Site.t ->
+  'r Msg.t ->
+  ('r, Msg.error) result
+(** Send a kernel message and await its reply; transport failures surface
+    as [Msg.Net]. [batched] (default [false]) joins the RPC batch window;
     [rid] is a request id the caller holds across its own retries. *)
 
 val alloc_txid : t -> Txid.t

@@ -1,11 +1,32 @@
 type abort_reason = Deadlock | Orphan | Crash | Degraded_vote | Coordinator_lost | User
 
-type t =
-  | Open of { fid : File_id.t }
-  | Close of { fid : File_id.t; owner : Owner.t; commit_on_close : bool }
-  | Read of { fid : File_id.t; reader : Owner.t; pid : Pid.t; pos : int; len : int }
-  | Write of { fid : File_id.t; owner : Owner.t; pid : Pid.t; pos : int; data : Bytes.t }
-  | Lock of {
+type error =
+  | Retry
+  | Redirect of int
+  | Refused of string
+  | Net of Transport.error
+
+let pp_error ppf = function
+  | Retry -> Fmt.string ppf "retry"
+  | Redirect s -> Fmt.pf ppf "redirect(%d)" s
+  | Refused why -> Fmt.string ppf why
+  | Net e -> Transport.pp_error ppf e
+
+type grant = Granted | Granted_data of Bytes.t | Conflict of Owner.t list
+type shard_owner = { owner : int; epoch : int; prev : int }
+
+(* A handler's answer for the wire: its value with the witness of its
+   type, or its error. *)
+type packed = Value : 'r Type.Id.t * 'r -> packed | Failed of error
+
+type _ t =
+  | Open : { fid : File_id.t } -> unit t
+  | Close : { fid : File_id.t; owner : Owner.t; commit_on_close : bool } -> unit t
+  | Read : { fid : File_id.t; reader : Owner.t; pid : Pid.t; pos : int; len : int }
+      -> Bytes.t t
+  | Write : { fid : File_id.t; owner : Owner.t; pid : Pid.t; pos : int; data : Bytes.t }
+      -> unit t
+  | Lock : {
       fid : File_id.t;
       owner : Owner.t;
       pid : Pid.t;
@@ -14,7 +35,8 @@ type t =
       non_transaction : bool;
       wait : bool;
     }
-  | Lock_append of {
+      -> grant t
+  | Lock_append : {
       fid : File_id.t;
       owner : Owner.t;
       pid : Pid.t;
@@ -22,56 +44,67 @@ type t =
       mode : Mode.t;
       non_transaction : bool;
     }
-  | Unlock of { fid : File_id.t; owner : Owner.t; pid : Pid.t; range : Byte_range.t }
-  | Commit_file of { fid : File_id.t; owner : Owner.t }
-  | Abort_file of { fid : File_id.t; owner : Owner.t }
-  | File_size of { fid : File_id.t }
-  | Create_file of { vid : int }
-  | Member_join of { top : Pid.t; txid : Txid.t }
-  | Merge_file_list of {
+      -> int t
+  | Unlock : { fid : File_id.t; owner : Owner.t; pid : Pid.t; range : Byte_range.t }
+      -> unit t
+  | Commit_file : { fid : File_id.t; owner : Owner.t } -> unit t
+  | Abort_file : { fid : File_id.t; owner : Owner.t } -> unit t
+  | File_size : { fid : File_id.t } -> int t
+  | Create_file : { vid : int } -> File_id.t t
+  | Member_join : { top : Pid.t; txid : Txid.t } -> unit t
+  | Merge_file_list : {
       top : Pid.t;
       txid : Txid.t;
       files : (File_id.t * int) list;
     }
-  | Proc_arrive of { payload : string }
-  | Proc_exit_cleanup of { pid : Pid.t; fids : File_id.t list }
-  | Prepare of {
+      -> unit t
+  | Proc_arrive : { payload : string } -> unit t
+  | Proc_exit_cleanup : { pid : Pid.t; fids : File_id.t list } -> unit t
+  | Prepare : {
       txid : Txid.t;
       coordinator_site : int;
       files : File_id.t list;
       participants : int list;
     }
-  | Commit_phase2 of { txid : Txid.t; files : File_id.t list }
-  | Abort_phase2 of { txid : Txid.t; files : File_id.t list }
-  | Abort_tree of
-      { txid : Txid.t; pid : Pid.t; spare : Pid.t option; reason : abort_reason }
-  | Query_outcome of { txid : Txid.t }
-  | Vote_2a of {
+      -> bool t
+  | Commit_phase2 : { txid : Txid.t; files : File_id.t list } -> unit t
+  | Abort_phase2 : { txid : Txid.t; files : File_id.t list } -> unit t
+  | Abort_tree : {
+      txid : Txid.t;
+      pid : Pid.t;
+      spare : Pid.t option;
+      reason : abort_reason;
+    }
+      -> bool t
+  | Query_outcome : { txid : Txid.t } -> Log_record.status option t
+  | Vote_2a : {
       txid : Txid.t;
       participant : int;
       vote : bool;
       ballot : int;
       participants : int list;
     }
-  | Decision_query of { txid : Txid.t }
-  | Acceptor_forget of { txid : Txid.t }
-  | Find_process of { pid : Pid.t }
-  | Replica_commit of { update : Update.t }
-  | Replica_pull of { fid : File_id.t }
-  | Replica_versions of { vid : int }
-  | Replica_read of {
+      -> bool t
+  | Decision_query : { txid : Txid.t } -> (int list * (int * bool) list) t
+  | Acceptor_forget : { txid : Txid.t } -> unit t
+  | Find_process : { pid : Pid.t } -> bool t
+  | Replica_commit : { update : Update.t } -> unit t
+  | Replica_pull : { fid : File_id.t } -> Update.t t
+  | Replica_versions : { vid : int } -> (int * int) list t
+  | Replica_read : {
       fid : File_id.t;
       reader : Owner.t;
       pid : Pid.t;
       pos : int;
       len : int;
     }
-  | Shard_lookup of { fid : File_id.t }
-  | Shard_claim of { fid : File_id.t; new_owner : int; from_epoch : int }
-  | Shard_migrate of { fid : File_id.t; epoch : int; payload : string }
-  | Shard_migrate_req of { fid : File_id.t; dst : int }
-  | Shard_handoff of { fid : File_id.t }
-  | Ensure_lock of {
+      -> Bytes.t t
+  | Shard_lookup : { fid : File_id.t } -> shard_owner t
+  | Shard_claim : { fid : File_id.t; new_owner : int; from_epoch : int } -> shard_owner t
+  | Shard_migrate : { fid : File_id.t; epoch : int; payload : string } -> unit t
+  | Shard_migrate_req : { fid : File_id.t; dst : int } -> unit t
+  | Shard_handoff : { fid : File_id.t } -> bool t
+  | Ensure_lock : {
       fid : File_id.t;
       owner : Owner.t;
       pid : Pid.t;
@@ -80,31 +113,29 @@ type t =
       momentary : bool;
       dirty : bool;
     }
-  | Release_locks of {
+      -> Byte_range.t list t
+  | Release_locks : {
       fid : File_id.t;
       owner : Owner.t;
       pid : Pid.t;
       ranges : Byte_range.t list option;
       cancel : bool;
     }
-  | Ping
-  | Health_query
-      (** Ask a kernel for its live health report (locus_health);
-          answered with [R_health]. *)
-  | Read_locked of {
+      -> unit t
+  | Ping : unit t
+  | Health_query : Locus_health.Report.site t
+  | Read_locked : {
       fid : File_id.t;
       reader : Owner.t;
       pid : Pid.t;
       pos : int;
       len : int;
     }
-      (** Read that piggybacks implicit Shared-lock acquisition on the
-          read RPC itself (one round trip instead of lock-then-read). *)
-  | Batch of env list
-      (** Several requests for the same destination coalesced into one
-          wire message; answered by [R_batch] in the same order. *)
+      -> Bytes.t t
+  | Batch : env list -> packed list t
 
-and env = { ctx : Locus_otrace.Otrace.ctx option; rid : rid option; payload : t }
+and env = { ctx : Locus_otrace.Otrace.ctx option; rid : rid option; payload : any }
+and any = Any : 'r t -> any
 
 (* Exactly-once request identity (locus_chaos): [(r_site, r_inc, r_seq)]
    names one logical request for the lifetime of the client kernel's
@@ -114,38 +145,11 @@ and env = { ctx : Locus_otrace.Otrace.ctx option; rid : rid option; payload : t 
    entries — and must treat a late copy of one as a stale duplicate. *)
 and rid = { r_site : int; r_inc : int; r_seq : int; r_ack : int }
 
-type reply =
-  | R_ok
-  | R_err of string
-  | R_retry
-  | R_data of Bytes.t
-  | R_int of int
-  | R_fid of File_id.t
-  | R_granted
-  | R_granted_data of Bytes.t
-  | R_granted_at of int
-  | R_conflict of Owner.t list
-  | R_redirect of int
-  | R_owner of { owner : int; epoch : int; prev : int }
-  | R_pieces of Byte_range.t list
-  | R_vote of bool
-  | R_vote_2b of bool
-  | R_decision of { participants : int list; votes : (int * bool) list }
-  | R_outcome of Log_record.status option
-  | R_found of bool
-  | R_update of Update.t
-  | R_versions of (int * int) list
-  | R_data_locked of Bytes.t
-      (** Data plus confirmation that an implicit Shared lock is now held
-          at the storage site — the client may cache the lock. *)
-  | R_health of Locus_health.Report.site
-  | R_batch of reply list
-
-let envelope ?ctx ?rid payload = { ctx; rid; payload }
+let envelope ?ctx ?rid msg = { ctx; rid; payload = Any msg }
 
 (* Short static name per constructor — used as the server-side span name,
    so it must be allocation-free and stable across runs. *)
-let label = function
+let label : type r. r t -> string = function
   | Open _ -> "open"
   | Close _ -> "close"
   | Read _ -> "read"
@@ -186,98 +190,71 @@ let label = function
   | Read_locked _ -> "read-locked"
   | Batch _ -> "batch"
 
-let rec pp ppf = function
-  | Open { fid } -> Fmt.pf ppf "open %a" File_id.pp fid
-  | Close { fid; _ } -> Fmt.pf ppf "close %a" File_id.pp fid
-  | Read { fid; pos; len; _ } -> Fmt.pf ppf "read %a@%d+%d" File_id.pp fid pos len
-  | Write { fid; pos; data; _ } ->
-    Fmt.pf ppf "write %a@%d+%d" File_id.pp fid pos (Bytes.length data)
-  | Lock { fid; owner; mode; range; wait; _ } ->
-    Fmt.pf ppf "lock %a %a %a %a%s" File_id.pp fid Owner.pp owner Mode.pp mode
-      Byte_range.pp range
-      (if wait then " wait" else "")
-  | Lock_append { fid; len; _ } -> Fmt.pf ppf "lock-append %a +%d" File_id.pp fid len
-  | Unlock { fid; range; _ } -> Fmt.pf ppf "unlock %a %a" File_id.pp fid Byte_range.pp range
-  | Commit_file { fid; owner } ->
-    Fmt.pf ppf "commit-file %a %a" File_id.pp fid Owner.pp owner
-  | Abort_file { fid; owner } ->
-    Fmt.pf ppf "abort-file %a %a" File_id.pp fid Owner.pp owner
-  | File_size { fid } -> Fmt.pf ppf "size %a" File_id.pp fid
-  | Create_file { vid } -> Fmt.pf ppf "create-file vol%d" vid
-  | Member_join { top; txid } -> Fmt.pf ppf "member-join %a %a" Pid.pp top Txid.pp txid
-  | Merge_file_list { top; txid; files } ->
-    Fmt.pf ppf "merge-file-list %a %a (%d)" Pid.pp top Txid.pp txid (List.length files)
-  | Proc_arrive _ -> Fmt.string ppf "proc-arrive"
-  | Proc_exit_cleanup { pid; _ } -> Fmt.pf ppf "proc-exit %a" Pid.pp pid
-  | Prepare { txid; _ } -> Fmt.pf ppf "prepare %a" Txid.pp txid
-  | Commit_phase2 { txid; _ } -> Fmt.pf ppf "commit2 %a" Txid.pp txid
-  | Abort_phase2 { txid; _ } -> Fmt.pf ppf "abort2 %a" Txid.pp txid
-  | Abort_tree { txid; pid; _ } -> Fmt.pf ppf "abort-tree %a %a" Txid.pp txid Pid.pp pid
-  | Query_outcome { txid } -> Fmt.pf ppf "query-outcome %a" Txid.pp txid
-  | Vote_2a { txid; participant; vote; ballot; _ } ->
-    Fmt.pf ppf "vote-2a %a p%d %b b%d" Txid.pp txid participant vote ballot
-  | Decision_query { txid } -> Fmt.pf ppf "decision-query %a" Txid.pp txid
-  | Acceptor_forget { txid } -> Fmt.pf ppf "acceptor-forget %a" Txid.pp txid
-  | Find_process { pid } -> Fmt.pf ppf "find-process %a" Pid.pp pid
-  | Replica_commit { update } -> Fmt.pf ppf "replica-commit %a" Update.pp update
-  | Replica_pull { fid } -> Fmt.pf ppf "replica-pull %a" File_id.pp fid
-  | Replica_versions { vid } -> Fmt.pf ppf "replica-versions vol%d" vid
-  | Replica_read { fid; pos; len; _ } ->
-    Fmt.pf ppf "replica-read %a@%d+%d" File_id.pp fid pos len
-  | Shard_lookup { fid } -> Fmt.pf ppf "shard-lookup %a" File_id.pp fid
-  | Shard_claim { fid; new_owner; from_epoch } ->
-    Fmt.pf ppf "shard-claim %a -> site%d from e%d" File_id.pp fid new_owner
-      from_epoch
-  | Shard_migrate { fid; epoch; _ } ->
-    Fmt.pf ppf "shard-migrate %a e%d" File_id.pp fid epoch
-  | Shard_migrate_req { fid; dst } ->
-    Fmt.pf ppf "shard-migrate-req %a -> site%d" File_id.pp fid dst
-  | Shard_handoff { fid } -> Fmt.pf ppf "shard-handoff %a" File_id.pp fid
-  | Ensure_lock { fid; owner; range; write; momentary; _ } ->
-    Fmt.pf ppf "ensure-lock %a %a %a%s%s" File_id.pp fid Owner.pp owner
-      Byte_range.pp range
-      (if write then " w" else " r")
-      (if momentary then " momentary" else "")
-  | Release_locks { fid; owner; ranges; cancel; _ } ->
-    Fmt.pf ppf "release-locks %a %a %s%s" File_id.pp fid Owner.pp owner
-      (match ranges with
-      | None -> "all"
-      | Some rs -> Printf.sprintf "%d ranges" (List.length rs))
-      (if cancel then " cancel" else "")
-  | Ping -> Fmt.string ppf "ping"
-  | Health_query -> Fmt.string ppf "health-query"
-  | Read_locked { fid; pos; len; _ } ->
-    Fmt.pf ppf "read-locked %a@%d+%d" File_id.pp fid pos len
-  | Batch envs ->
-    Fmt.pf ppf "batch[%a]"
-      (Fmt.list ~sep:Fmt.semi (fun ppf e -> pp ppf e.payload))
-      envs
+(* One type witness per reply type. *)
+module Id = struct
+  let unit : unit Type.Id.t = Type.Id.make ()
+  let bool : bool Type.Id.t = Type.Id.make ()
+  let int : int Type.Id.t = Type.Id.make ()
+  let bytes : Bytes.t Type.Id.t = Type.Id.make ()
+  let fid : File_id.t Type.Id.t = Type.Id.make ()
+  let grant : grant Type.Id.t = Type.Id.make ()
+  let pieces : Byte_range.t list Type.Id.t = Type.Id.make ()
+  let shard_owner : shard_owner Type.Id.t = Type.Id.make ()
+  let outcome : Log_record.status option Type.Id.t = Type.Id.make ()
+  let decision : (int list * (int * bool) list) Type.Id.t = Type.Id.make ()
+  let update : Update.t Type.Id.t = Type.Id.make ()
+  let versions : (int * int) list Type.Id.t = Type.Id.make ()
+  let health : Locus_health.Report.site Type.Id.t = Type.Id.make ()
+  let batch : packed list Type.Id.t = Type.Id.make ()
+end
 
-let rec pp_reply ppf = function
-  | R_ok -> Fmt.string ppf "ok"
-  | R_err e -> Fmt.pf ppf "err(%s)" e
-  | R_retry -> Fmt.string ppf "retry"
-  | R_data b -> Fmt.pf ppf "data(%d)" (Bytes.length b)
-  | R_int n -> Fmt.pf ppf "int(%d)" n
-  | R_fid fid -> Fmt.pf ppf "fid(%a)" File_id.pp fid
-  | R_granted -> Fmt.string ppf "granted"
-  | R_granted_data b -> Fmt.pf ppf "granted+data(%d)" (Bytes.length b)
-  | R_granted_at n -> Fmt.pf ppf "granted@%d" n
-  | R_conflict owners -> Fmt.pf ppf "conflict(%a)" Fmt.(list ~sep:comma Owner.pp) owners
-  | R_redirect s -> Fmt.pf ppf "redirect(%d)" s
-  | R_owner { owner; epoch; prev } ->
-    Fmt.pf ppf "owner(site%d e%d from site%d)" owner epoch prev
-  | R_pieces rs -> Fmt.pf ppf "pieces(%d)" (List.length rs)
-  | R_vote v -> Fmt.pf ppf "vote(%b)" v
-  | R_vote_2b v -> Fmt.pf ppf "vote-2b(%b)" v
-  | R_decision { votes; _ } -> Fmt.pf ppf "decision(%d votes)" (List.length votes)
-  | R_outcome o ->
-    Fmt.pf ppf "outcome(%a)" Fmt.(option ~none:(any "none") Log_record.pp_status) o
-  | R_found b -> Fmt.pf ppf "found(%b)" b
-  | R_update u -> Fmt.pf ppf "update(%a)" Update.pp u
-  | R_versions vs -> Fmt.pf ppf "versions(%d)" (List.length vs)
-  | R_data_locked b -> Fmt.pf ppf "data+locked(%d)" (Bytes.length b)
-  | R_health s ->
-    Fmt.pf ppf "health(site%d)" s.Locus_health.Report.hs_site
-  | R_batch rs ->
-    Fmt.pf ppf "batch-reply[%a]" (Fmt.list ~sep:Fmt.semi pp_reply) rs
+(* The witness of each request's reply type. *)
+let reply_id : type r. r t -> r Type.Id.t = function
+  | Open _ -> Id.unit
+  | Close _ -> Id.unit
+  | Read _ -> Id.bytes
+  | Write _ -> Id.unit
+  | Lock _ -> Id.grant
+  | Lock_append _ -> Id.int
+  | Unlock _ -> Id.unit
+  | Commit_file _ -> Id.unit
+  | Abort_file _ -> Id.unit
+  | File_size _ -> Id.int
+  | Create_file _ -> Id.fid
+  | Member_join _ -> Id.unit
+  | Merge_file_list _ -> Id.unit
+  | Proc_arrive _ -> Id.unit
+  | Proc_exit_cleanup _ -> Id.unit
+  | Prepare _ -> Id.bool
+  | Commit_phase2 _ -> Id.unit
+  | Abort_phase2 _ -> Id.unit
+  | Abort_tree _ -> Id.bool
+  | Query_outcome _ -> Id.outcome
+  | Vote_2a _ -> Id.bool
+  | Decision_query _ -> Id.decision
+  | Acceptor_forget _ -> Id.unit
+  | Find_process _ -> Id.bool
+  | Replica_commit _ -> Id.unit
+  | Replica_pull _ -> Id.update
+  | Replica_versions _ -> Id.versions
+  | Replica_read _ -> Id.bytes
+  | Shard_lookup _ -> Id.shard_owner
+  | Shard_claim _ -> Id.shard_owner
+  | Shard_migrate _ -> Id.unit
+  | Shard_migrate_req _ -> Id.unit
+  | Shard_handoff _ -> Id.bool
+  | Ensure_lock _ -> Id.pieces
+  | Release_locks _ -> Id.unit
+  | Ping -> Id.unit
+  | Health_query -> Id.health
+  | Read_locked _ -> Id.bytes
+  | Batch _ -> Id.batch
+
+let pack msg = function Ok v -> Value (reply_id msg, v) | Error e -> Failed e
+
+let unpack (type r) (msg : r t) : packed -> (r, error) result = function
+  | Failed e -> Error e
+  | Value (id, v) -> (
+    match Type.Id.provably_equal id (reply_id msg) with
+    | Some Type.Equal -> Ok v
+    | None -> invalid_arg ("Msg.unpack: not a reply to " ^ label msg))

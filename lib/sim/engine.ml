@@ -79,7 +79,7 @@ let create ?(seed = 42) () =
   {
     now = 0;
     seq = 0;
-    events = Pqueue.create ();
+    events = Pqueue.create ~dummy:(Call ignore);
     slot = Pqueue.make_slot (Call ignore);
     live = Hashtbl.create 64;
     next_fid = 0;

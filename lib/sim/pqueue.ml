@@ -10,7 +10,7 @@ type 'a t = {
   mutable times : int array;
   mutable seqs : int array;
   mutable vals : 'a array;
-  mutable boxed : bool;  (* [vals] is not a flat float array *)
+  dummy : 'a;  (* fills every unused slot of [vals] *)
   mutable size : int;
 }
 
@@ -18,7 +18,7 @@ type 'a slot = { mutable s_time : int; mutable s_seq : int; mutable s_value : 'a
 
 let make_slot v = { s_time = 0; s_seq = 0; s_value = v }
 
-let create () = { times = [||]; seqs = [||]; vals = [||]; boxed = true; size = 0 }
+let create ~dummy = { times = [||]; seqs = [||]; vals = [||]; dummy; size = 0 }
 let is_empty t = t.size = 0
 let length t = t.size
 
@@ -38,29 +38,25 @@ let swap t i j =
   t.vals.(i) <- t.vals.(j);
   t.vals.(j) <- vi
 
-(* Grow before writing slot [t.size]. Unused slots hold an immediate, not
-   a value, so that no value outlives its time in the heap (the engine's
-   cancelled timers capture fiber continuations); only a float heap,
-   whose array is flat and holds no pointers, is filled with the value
-   about to be pushed. *)
-let ensure_capacity t v =
+(* Grow before writing slot [t.size]. Unused slots hold the dummy, not a
+   value, so that no value outlives its time in the heap (the engine's
+   cancelled timers capture fiber continuations). *)
+let ensure_capacity t =
   let cap = Array.length t.vals in
   if t.size = cap then begin
     let ncap = max 16 (2 * cap) in
     let ntimes = Array.make ncap 0 and nseqs = Array.make ncap 0 in
     Array.blit t.times 0 ntimes 0 t.size;
     Array.blit t.seqs 0 nseqs 0 t.size;
-    let flat = Obj.tag (Obj.repr v) = Obj.double_tag in
-    let nvals = Array.make ncap (if flat then v else Obj.magic 0) in
+    let nvals = Array.make ncap t.dummy in
     Array.blit t.vals 0 nvals 0 t.size;
     t.times <- ntimes;
     t.seqs <- nseqs;
-    t.vals <- nvals;
-    t.boxed <- not flat
+    t.vals <- nvals
   end
 
 let push t ~time ~seq value =
-  ensure_capacity t value;
+  ensure_capacity t;
   let i = ref t.size in
   t.times.(!i) <- time;
   t.seqs.(!i) <- seq;
@@ -80,7 +76,7 @@ let push t ~time ~seq value =
 
 (* Overwrite a vacated slot, so that a value popped or dropped from the
    heap is not kept reachable by it. *)
-let vacate t i = if t.boxed then t.vals.(i) <- Obj.magic 0
+let vacate t i = t.vals.(i) <- t.dummy
 
 let sift_down t i =
   let i = ref i in

@@ -12,7 +12,9 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> 'a t
+(** An empty heap; [dummy] fills the slots that hold no value. *)
+
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 

@@ -179,6 +179,30 @@ let test_rpc_batch_local_calls_skip_window () =
   Engine.run e;
   Alcotest.(check bool) "handled" true (!result = Ok "Rlocal")
 
+(* The kernel's codec: two batched RPCs with different reply types,
+   bound for one site within one window, travel as one [Msg.Batch], and
+   each caller gets its own reply at its own type. *)
+let test_kernel_batch_mixed_replies () =
+  let config = K.Config.with_batching ~window_us:500 (K.Config.default ~n_sites:2) in
+  let sim = L.make ~config ~n_sites:2 () in
+  let cl = sim.L.cluster in
+  let created = ref None and health = ref None in
+  let call f = ignore (Engine.spawn ~site:0 sim.L.engine f) in
+  let rpc msg = K.rpc ~batched:true cl ~src:0 ~dst:1 msg in
+  call (fun () -> created := Some (rpc (L.Msg.Create_file { vid = 1 })));
+  call (fun () -> health := Some (rpc L.Msg.Health_query));
+  L.run sim;
+  let st = Engine.stats sim.L.engine in
+  Alcotest.(check int) "one batch" 1 (Stats.get st "rpc.batches");
+  Alcotest.(check int) "two members" 2 (Stats.get st "rpc.batched");
+  (match !created with
+  | Some (Ok fid) -> Alcotest.(check int) "a file on volume 1" 1 fid.File_id.vid
+  | Some (Error _) | None -> Alcotest.fail "create-file got no fid");
+  match !health with
+  | Some (Ok report) ->
+    Alcotest.(check int) "site 1 reported" 1 report.Locus_health.Report.hs_site
+  | Some (Error _) | None -> Alcotest.fail "health query got no report"
+
 (* {1 Timer hygiene under batch windows} *)
 
 let test_batched_run_leaves_no_timers () =
@@ -349,6 +373,8 @@ let suite =
         Alcotest.test_case "rpc coalescing" `Quick test_rpc_coalescing;
         Alcotest.test_case "singleton batch bypasses wrap" `Quick
           test_rpc_batch_singleton_bypasses_wrap;
+        Alcotest.test_case "kernel batch with mixed reply types" `Quick
+          test_kernel_batch_mixed_replies;
         Alcotest.test_case "local calls skip the window" `Quick
           test_rpc_batch_local_calls_skip_window;
         Alcotest.test_case "batched run leaves no timers" `Quick

@@ -13,9 +13,14 @@ let stats sim = Stats.get (L.Engine.stats sim.L.engine)
 (* A rid claiming to come from site 0's current incarnation. *)
 let rid ~seq ~ack = { Msg.r_site = 0; r_inc = 1; r_seq = seq; r_ack = ack }
 
+let create = Msg.Create_file { vid = 1 }
+
 let fid_of = function
-  | Some (Ok (Msg.R_fid f)) -> f
-  | _ -> Alcotest.fail "expected R_fid"
+  | Some (Ok r) -> (
+    match Msg.unpack create r with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "expected a fid, got %a" Msg.pp_error e)
+  | Some (Error _) | None -> Alcotest.fail "expected a reply"
 
 let test_duplicate_answered_from_cache () =
   (* Two wire copies of one logical request: the handler (file creation —
@@ -24,7 +29,7 @@ let test_duplicate_answered_from_cache () =
   let sim = L.make ~n_sites:2 () in
   let net = K.transport sim.L.cluster in
   let r1 = ref None and r2 = ref None in
-  let env = Msg.envelope ~rid:(rid ~seq:1 ~ack:0) (Msg.Create_file { vid = 1 }) in
+  let env = Msg.envelope ~rid:(rid ~seq:1 ~ack:0) create in
   ignore
     (L.Engine.spawn sim.L.engine (fun () ->
          r1 := Some (T.rpc net ~src:0 ~dst:1 env);
@@ -43,8 +48,8 @@ let test_watermark_evicts_and_fences () =
   let sim = L.make ~n_sites:2 () in
   let net = K.transport sim.L.cluster in
   let late = ref None in
-  let env1 = Msg.envelope ~rid:(rid ~seq:1 ~ack:0) (Msg.Create_file { vid = 1 }) in
-  let env2 = Msg.envelope ~rid:(rid ~seq:2 ~ack:1) (Msg.Create_file { vid = 1 }) in
+  let env1 = Msg.envelope ~rid:(rid ~seq:1 ~ack:0) create in
+  let env2 = Msg.envelope ~rid:(rid ~seq:2 ~ack:1) create in
   ignore
     (L.Engine.spawn sim.L.engine (fun () ->
          ignore (T.rpc net ~src:0 ~dst:1 env1);
@@ -56,8 +61,8 @@ let test_watermark_evicts_and_fences () =
          late := Some (T.rpc net ~src:0 ~dst:1 env1)));
   L.run sim;
   (match !late with
-  | Some (Ok (Msg.R_err _)) -> ()
-  | _ -> Alcotest.fail "expected the late copy fenced with R_err");
+  | Some (Ok (Msg.Failed (Msg.Refused "stale request"))) -> ()
+  | _ -> Alcotest.fail "expected the late copy fenced as a stale request");
   Alcotest.(check int) "fence counted" 1 (stats sim "net.dedup_stale")
 
 let test_client_crash_clears_cache () =
@@ -71,7 +76,7 @@ let test_client_crash_clears_cache () =
     (L.Engine.spawn sim.L.engine (fun () ->
          ignore
            (T.rpc net ~src:2 ~dst:1
-              (Msg.envelope ~rid:(rid ~seq:1 ~ack:0) (Msg.Create_file { vid = 1 })))));
+              (Msg.envelope ~rid:(rid ~seq:1 ~ack:0) create))));
   L.run sim;
   Alcotest.(check int) "entry cached" 1 (K.dedup_cached (K.kernel cl 1));
   K.crash_site cl 0;

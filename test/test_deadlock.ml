@@ -494,6 +494,72 @@ let test_cycle_abort_without_probe () =
   Alcotest.(check bool) "no find-process RPC" true
     (L.Otrace.phase (Option.get !otr) "find-process" = None)
 
+(* A hot-spot closed loop in the shape of the benchmark's [hotspot]
+   workload: 24 clients over three sites, each running transactions that
+   lock and update records of one striped file per site, a third of the
+   ops remote. Deadlock scans at two sites then pick the same victim
+   while its abort is in flight; it must still count as one victim. *)
+let test_victim_counted_once () =
+  let module L = Locus_core.Locus in
+  let module Api = L.Api in
+  let sites = 3 and records = 8 and rec_len = 16 in
+  let sim = L.make ~seed:1 ~n_sites:sites () in
+  let cl = sim.L.cluster in
+  let path i = Printf.sprintf "/stripe%d" i in
+  ignore
+    (Api.spawn_process cl ~site:0 (fun env ->
+         for i = 0 to sites - 1 do
+           let c = Api.creat env (path i) ~vid:i in
+           Api.write_string env c (String.make (records * rec_len) '0');
+           Api.close env c
+         done));
+  L.run sim;
+  let txn prng env =
+    let home = Api.site env in
+    let chans = Hashtbl.create 3 in
+    let chan i =
+      match Hashtbl.find_opt chans i with
+      | Some c -> c
+      | None ->
+        let c = Api.open_file env (path i) in
+        Hashtbl.replace chans i c;
+        c
+    in
+    Api.begin_trans env;
+    for _ = 1 to Prng.int_in prng ~lo:2 ~hi:4 do
+      let stripe =
+        if Prng.float prng 1.0 < 1. /. 3. then
+          (home + 1 + Prng.int prng (sites - 1)) mod sites
+        else home
+      in
+      let c = chan stripe in
+      let pos = Prng.int prng records * rec_len in
+      let update = Prng.float prng 1.0 >= 0.2 in
+      Api.seek env c ~pos;
+      let mode = if update then L.Mode.Exclusive else L.Mode.Shared in
+      ignore (Api.lock env c ~len:rec_len ~mode ());
+      let v = Api.pread env c ~pos ~len:rec_len in
+      if update then Api.pwrite env c ~pos (Bytes.map (fun _ -> '1') v)
+    done;
+    ignore (Api.end_trans env)
+  in
+  for i = 0 to 23 do
+    let prng = Prng.create ~seed:(7919 + i) in
+    ignore
+      (Engine.spawn (L.Kernel.engine cl) (fun () ->
+           for _ = 1 to 12 do
+             let site = Prng.int prng sites in
+             let pid = Api.spawn_process cl ~site (txn prng) in
+             Engine.await (Api.exit_of cl pid)
+           done))
+  done;
+  L.run sim;
+  let stat = L.Stats.get (Engine.stats sim.L.engine) in
+  Alcotest.(check bool) "some scan found a victim" true
+    (stat "deadlock.victims" > 0);
+  Alcotest.(check int) "every victim aborted once" (stat "txn.abort.deadlock")
+    (stat "deadlock.victims")
+
 let suite =
   suite
   @ [
@@ -510,5 +576,7 @@ let suite =
             test_cycle_outcomes_observed;
           Alcotest.test_case "cycle abort sends no probe" `Quick
             test_cycle_abort_without_probe;
+          Alcotest.test_case "victim picked twice counts once" `Quick
+            test_victim_counted_once;
         ] );
     ]

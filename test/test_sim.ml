@@ -25,7 +25,7 @@ let test_prng_split () =
   Alcotest.(check bool) "independent" true (Prng.bits64 p <> Prng.bits64 q)
 
 let test_pqueue_order () =
-  let q = Pqueue.create () in
+  let q = Pqueue.create ~dummy:"" in
   Pqueue.push q ~time:5 ~seq:1 "e";
   Pqueue.push q ~time:1 ~seq:2 "a";
   Pqueue.push q ~time:1 ~seq:3 "b";
@@ -46,7 +46,7 @@ let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops sorted" ~count:300
     QCheck.(list (pair (int_bound 1000) (int_bound 1000)))
     (fun items ->
-      let q = Pqueue.create () in
+      let q = Pqueue.create ~dummy:() in
       List.iteri (fun i (t, _) -> Pqueue.push q ~time:t ~seq:i ()) items;
       let rec drain last =
         match Pqueue.pop q with
@@ -59,7 +59,7 @@ let prop_pqueue_retain =
   QCheck.Test.make ~name:"retain then drain pops the kept entries sorted" ~count:300
     QCheck.(pair (list (int_bound 200)) (int_range 1 7))
     (fun (times, k) ->
-      let q = Pqueue.create () in
+      let q = Pqueue.create ~dummy:0 in
       List.iteri (fun i time -> Pqueue.push q ~time ~seq:i i) times;
       let keep i = i mod k <> 0 in
       Pqueue.retain q keep;
@@ -77,7 +77,7 @@ let prop_pqueue_retain =
 (* A value the heap has given up — popped, popped into a slot, or dropped
    by [retain] — must not stay reachable from the heap's arrays. *)
 let test_pqueue_forgets_values () =
-  let q = Pqueue.create () in
+  let q = Pqueue.create ~dummy:Bytes.empty in
   let w = Weak.create 64 in
   let push_all () =
     for i = 0 to 63 do
@@ -105,7 +105,7 @@ let test_pqueue_forgets_values () =
    order — the tie-break on seq matters, not just the time key. *)
 let test_pqueue_interleaved_10k () =
   let prng = Prng.create ~seed:99 in
-  let q = Pqueue.create () in
+  let q = Pqueue.create ~dummy:() in
   let popped = ref [] in
   let seq = ref 0 in
   for _ = 1 to 10_000 do
@@ -156,10 +156,10 @@ let test_pqueue_interleaved_10k () =
   Alcotest.(check bool) "final drain sorted" true (sorted_pairs final_run)
 
 (* Regression: push into a queue that has grown, fully drained, then
-   receives a fresh element. The growth path uses the pushed value as the
-   array filler; a stale-slot read here once produced garbage. *)
+   receives a fresh element. The growth path once used the pushed value
+   as the array filler; a stale-slot read here produced garbage. *)
 let test_pqueue_push_after_drain () =
-  let q = Pqueue.create () in
+  let q = Pqueue.create ~dummy:"" in
   for i = 0 to 63 do
     Pqueue.push q ~time:i ~seq:i (string_of_int i)
   done;
@@ -188,7 +188,7 @@ let test_pqueue_push_after_drain () =
 
 (* pop_into reuses one slot and agrees with min_time/peek. *)
 let test_pqueue_pop_into () =
-  let q = Pqueue.create () in
+  let q = Pqueue.create ~dummy:"" in
   let slot = Pqueue.make_slot "-" in
   Pqueue.push q ~time:30 ~seq:2 "late";
   Pqueue.push q ~time:10 ~seq:1 "early";
