@@ -34,7 +34,7 @@ type ('req, 'resp) site_state = {
 
 (* How to pack several requests for one destination into a single wire
    message and unpack the single reply. The transport is payload-agnostic:
-   the kernel supplies the envelope codec ([Msg.Batch] / [R_batch]). *)
+   the kernel supplies the envelope codec ([Msg.Batch] and its replies). *)
 type ('req, 'resp) batch_cfg = {
   wrap : 'req list -> 'req;
   unwrap : 'resp -> 'resp list option;

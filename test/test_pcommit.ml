@@ -231,7 +231,7 @@ let test_break_paxos_blocks () =
 let test_query_outcome_retry_during_recovery () =
   (* Regression: a participant whose recovery asks the coordinator for an
      outcome while the coordinator is itself still recovering must get
-     R_retry (and retry), not a hard error it would misread as failure.
+     a Retry error (and retry), not a hard error it would misread as failure.
      Crash both after the decision and reboot them at the same instant so
      the participant's query races the coordinator's own log replay. *)
   let sim, _ =
