@@ -14,7 +14,9 @@
 type env
 
 exception Error of string
-(** Syscall failure (bad channel, lock denied after waiting, ...). *)
+(** Syscall failure (bad channel, lock denied after waiting, ...). A
+    kernel request that fails reads ["<Msg.label>: <Msg.error>"], e.g.
+    ["open: site down"]. *)
 
 exception Process_failure of string
 (** Raise (e.g. via {!fail}) to simulate a process failing — a failing
