@@ -409,6 +409,46 @@ let test_differential_explored () =
   let broken = run E.default_config @ run open_loop in
   Alcotest.(check bool) "broken locks produce real cycles" true (broken <> [])
 
+(* {1 Generated specs}
+
+   The explorer's workloads are pinned by their printed form: a change to
+   a generator, to the op type or to the reproducer syntax ([r3], [u1])
+   shows up here before it silently moves every sweep. *)
+
+let test_specs_pinned () =
+  let module W = Ck.Workload in
+  let pinned name expected spec =
+    Alcotest.(check string) name expected (Fmt.str "%a" W.pp spec)
+  in
+  pinned "gen seed 42"
+    (String.concat "\n"
+       [ "2 sites, 4 records";
+         "site 1: r3 r2 r3 r2";
+         "site 1: u0 u0 r0 r3";
+         "site 0: r1 u3 r1 u0";
+         "site 0: u2 u3 u1 r2" ])
+    (W.gen ~seed:42 ());
+  pinned "gen seed 7, 3 sites, 8 txns, 8 records"
+    (String.concat "\n"
+       [ "3 sites, 8 records";
+         "site 2: u5 r3 u0 u0";
+         "site 1: r4 u6 r1 r2";
+         "site 2: u2 u1 r3 r5";
+         "site 0: u3 r3 u6 u4";
+         "site 0: u1 r7 r6 u3";
+         "site 2: r7 u0 r3 u6";
+         "site 1: r6 r4 u2 u2";
+         "site 1: r5 r6 u4 r1" ])
+    (W.gen ~seed:7 ~sites:3 ~txns:8 ~records:8 ());
+  pinned "gen_open seed 42, 3 sites, rate 2"
+    (String.concat "\n"
+       [ "3 sites, 4 records";
+         "site 1 @453318us: r3 r0 r2 u2";
+         "site 2 @1604503us: r0 u0 r0 r1";
+         "site 1 @1917493us: r3 u0 r0 u0";
+         "site 2 @2271255us: u1 u0 u0 r0" ])
+    (W.gen_open ~seed:42 ~sites:3 ~rate:2. ())
+
 (* {1 Explorer + shrinker self-test} *)
 
 let test_broken_matrix_caught () =
@@ -450,6 +490,7 @@ let suite =
       ] );
     ( "check.explorer",
       [
+        Alcotest.test_case "generated specs pinned" `Quick test_specs_pinned;
         Alcotest.test_case "broken lock matrix caught and shrunk" `Quick
           test_broken_matrix_caught;
       ] );
