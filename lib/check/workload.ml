@@ -2,9 +2,10 @@ module L = Locus_core.Locus
 module Api = Locus_core.Api
 module K = Locus_core.Kernel
 module Transport = Locus_net.Transport
+module Opmix = Locus_load.Opmix
+module Bank = Locus_load.Bank
 
-type op = Op_read of int | Op_update of int
-type txn_spec = { site : int; at_us : int; ops : op list }
+type txn_spec = { site : int; at_us : int; ops : Opmix.op list }
 type spec = { n_sites : int; n_records : int; txns : txn_spec list }
 
 type crash = { victim : int; after_decides : int; restart_delay : int }
@@ -17,7 +18,6 @@ type fault =
 
 type commit_protocol = [ `Two_phase | `Paxos of int ]
 
-let rec_len = 16
 let path = "/check/records"
 
 let gen ~seed ?(sites = 2) ?(txns = 4) ?(ops = 4) ?(records = 4) () =
@@ -32,7 +32,7 @@ let gen ~seed ?(sites = 2) ?(txns = 4) ?(ops = 4) ?(records = 4) () =
         let ops =
           List.init ops (fun _ ->
               let r = Prng.int rng records in
-              if Prng.bool rng then Op_read r else Op_update r)
+              Opmix.(if Prng.bool rng then Read r else Update r))
         in
         { site; at_us = 0; ops })
   in
@@ -67,67 +67,28 @@ let gen_open ~seed ?(sites = 2) ?(txns = 4) ?(ops = 4) ?(records = 4) ?flash
   let arr = Locus_load.Arrival.create ~prng:rng shape in
   let zipf = Locus_load.Zipf.create ~s:1.0 ~n:records () in
   let mix =
-    Locus_load.Opmix.make ~read_frac:0.5 ~ops_min:n_ops ~ops_max:n_ops ()
+    Opmix.make ~read_frac:0.5 ~ops_min:n_ops ~ops_max:n_ops ()
   in
   let rec build acc k now =
     if k = 0 then List.rev acc
     else
       let at = Locus_load.Arrival.next_after arr now in
       let site = Prng.int rng sites in
-      let ops =
-        List.map
-          (function
-            | Locus_load.Opmix.Read r -> Op_read r
-            | Locus_load.Opmix.Update r -> Op_update r)
-          (Locus_load.Opmix.gen_txn mix rng zipf)
-      in
+      let ops = Opmix.gen_txn mix rng zipf in
       build ({ site; at_us = at; ops } :: acc) (k - 1) at
   in
   { n_sites = sites; n_records = records; txns = build [] txns 0 }
 
-let pp_op ppf = function
-  | Op_read r -> Fmt.pf ppf "r%d" r
-  | Op_update r -> Fmt.pf ppf "u%d" r
-
 let pp_txn_spec ppf t =
   if t.at_us > 0 then
     Fmt.pf ppf "@[site %d @@%dus: %a@]" t.site t.at_us
-      (Fmt.list ~sep:Fmt.sp pp_op) t.ops
-  else Fmt.pf ppf "@[site %d: %a@]" t.site (Fmt.list ~sep:Fmt.sp pp_op) t.ops
+      (Fmt.list ~sep:Fmt.sp Opmix.pp_op) t.ops
+  else Fmt.pf ppf "@[site %d: %a@]" t.site (Fmt.list ~sep:Fmt.sp Opmix.pp_op) t.ops
 
 let pp ppf s =
   Fmt.pf ppf "@[<v>%d sites, %d records@,%a@]" s.n_sites s.n_records
     (Fmt.list ~sep:Fmt.cut pp_txn_spec)
     s.txns
-
-let encode v = Printf.sprintf "%016d" v
-let decode b = int_of_string (String.trim (Bytes.to_string b))
-
-let run_txn ?(piggyback = false) env t =
-  let c = Api.open_file env path in
-  Api.begin_trans env;
-  List.iter
-    (fun op ->
-      match op with
-      | Op_read r ->
-          if piggyback then
-            (* Batching runs exercise the one-round-trip §3.3 path: the
-               Shared lock rides on the read message itself. *)
-            ignore (Api.pread_locked env c ~pos:(r * rec_len) ~len:rec_len)
-          else begin
-            Api.seek env c ~pos:(r * rec_len);
-            ignore (Api.lock env c ~len:rec_len ~mode:Mode.Shared ());
-            ignore (Api.pread env c ~pos:(r * rec_len) ~len:rec_len)
-          end
-      | Op_update r ->
-          let pos = r * rec_len in
-          Api.seek env c ~pos;
-          ignore (Api.lock env c ~len:rec_len ~mode:Mode.Exclusive ());
-          let v = decode (Api.pread env c ~pos ~len:rec_len) in
-          Api.pwrite env c ~pos (Bytes.of_string (encode (v + 1))))
-    t.ops;
-  ignore (Api.end_trans env);
-  Api.close env c
 
 let install_fault cl ~n_sites ?(grace = 0) fault =
   let decides = ref 0 in
@@ -136,15 +97,10 @@ let install_fault cl ~n_sites ?(grace = 0) fault =
       incr decides;
       match fault with
       | Crash c when !decides = c.after_decides ->
-          K.crash_site cl c.victim;
-          Engine.schedule ~delay:c.restart_delay (K.engine cl) (fun () ->
-              K.restart_site cl c.victim)
+          Bank.outage cl (`Crash c.victim) ~for_us:c.restart_delay
       | Partition { victim; after_decides; heal_delay }
         when !decides = after_decides ->
-          let net = K.transport cl in
-          Transport.partition net [ [ victim ] ];
-          Engine.schedule ~delay:heal_delay (K.engine cl) (fun () ->
-              Transport.heal net)
+          Bank.outage cl (`Partition victim) ~for_us:heal_delay
       | Kill_coordinator { after_decides } when !decides = after_decides ->
           (* The worst 2PC window: the decision is durable but phase 2 was
              never sent, and the coordinator NEVER comes back. The hook
@@ -222,13 +178,7 @@ let run ?fault ?(replicas = 1) ?(batch_window = 0) ?(commit = `Two_phase)
   | None -> ());
   ignore
     (Api.spawn_process sim.L.cluster ~site:0 ~name:"wl-driver" (fun env ->
-         let c = Api.creat env path ~vid:1 in
-         let init = Buffer.create (spec.n_records * rec_len) in
-         for _ = 1 to spec.n_records do
-           Buffer.add_string init (encode 0)
-         done;
-         Api.write_string env c (Buffer.contents init);
-         Api.close env c;
+         Bank.create env path ~vid:1 ~records:spec.n_records;
          (* Open-loop specs stamp arrival instants: the driver sleeps up
             to each transaction's [at_us] (measured from this point, after
             the records exist) and forks without waiting on predecessors.
@@ -244,7 +194,11 @@ let run ?fault ?(replicas = 1) ?(batch_window = 0) ?(commit = `Two_phase)
                   if dt > 0 then Engine.sleep dt);
                Api.fork env ~site:t.site
                  ~name:(Printf.sprintf "wl-txn-%d" i)
-                 (fun env -> run_txn ~piggyback:(batch_window > 0) env t))
+                 (fun env ->
+                   let ops = List.map (fun op -> (0, op)) t.ops in
+                   ignore
+                     (Bank.txn ~piggyback:(batch_window > 0) env
+                        ~files:[ (0, path) ] ops)))
              spec.txns
          in
          List.iter (fun pid -> Api.wait_pid env pid) pids));

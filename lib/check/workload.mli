@@ -1,20 +1,19 @@
 (** Generated transactional workloads for the schedule explorer.
 
-    A workload is a bank-style increment benchmark over a single shared
-    file of fixed-width records: each transaction runs at some site and
-    performs a sequence of locked record reads ([Op_read]) and
-    read-increment-write updates ([Op_update]). Concurrent updates of
-    the same record are exactly the lost-update / dirty-read shapes the
-    checker must prove impossible under the §3 locking rules. *)
-
-type op = Op_read of int | Op_update of int  (** record index *)
+    A workload is {!Locus_load.Bank}'s increment transaction over one
+    shared file of fixed-width records: each transaction runs at some
+    site and performs a sequence of locked record reads and
+    read-increment-write updates ({!Locus_load.Opmix.op}, printed [r3]
+    and [u1]). Concurrent updates of the same record are exactly the
+    lost-update / dirty-read shapes the checker must prove impossible
+    under the §3 locking rules. *)
 
 type txn_spec = {
   site : int;
   at_us : int;
       (** open-loop arrival instant in virtual µs from driver start; [0]
           (the closed-loop default) forks immediately in spec order *)
-  ops : op list;
+  ops : Locus_load.Opmix.op list;  (** against the one shared file *)
 }
 
 type spec = { n_sites : int; n_records : int; txns : txn_spec list }
@@ -53,9 +52,6 @@ type fault =
 type commit_protocol = [ `Two_phase | `Paxos of int ]
 (** Atomic-commitment protocol for a run: plain 2PC or Paxos Commit
     tolerating [f] faults (2f+1 acceptor sites). *)
-
-val rec_len : int
-(** Bytes per record. *)
 
 val gen :
   seed:int ->
@@ -131,4 +127,3 @@ val blocked : Locus_core.Locus.sim -> (int * Txid.t) list
 
 val pp : spec Fmt.t
 val pp_txn_spec : txn_spec Fmt.t
-val pp_op : op Fmt.t

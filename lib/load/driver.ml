@@ -30,74 +30,28 @@ type report = {
   virtual_us : int;
 }
 
-let rec_len = 16
 let path_of i = Printf.sprintf "/load/records%d" i
-let encode v = Printf.sprintf "%016d" v
-let decode b = int_of_string (String.trim (Bytes.to_string b))
-
-(* Records are striped one file per site (file [i] lives on volume [i],
-   hosted at site [i]); each file holds its own Zipfian key universe. A
-   transaction works its home site's stripe except for a [remote_frac]
-   cross-stripe minority, so the hottest keys contend in parallel at
-   every site (instead of serializing on one storage site's disk) while
-   the remote tail keeps genuine multi-site 2PC in the mix — and a
-   scripted crash of any site takes out real traffic. Ops arrive as
-   [(stripe, op)] with the op's rank local to that stripe's file. *)
-let run_ops env ~stripes ops =
-  let chans = Array.make stripes (-1) in
-  let chan i =
-    if chans.(i) < 0 then chans.(i) <- Api.open_file env (path_of i);
-    chans.(i)
-  in
-  Api.begin_trans env;
-  List.iter
-    (fun (stripe, op) ->
-      let c = chan stripe in
-      let pos = (match op with Opmix.Read r | Opmix.Update r -> r) * rec_len in
-      match op with
-      | Opmix.Read _ ->
-        Api.seek env c ~pos;
-        ignore (Api.lock env c ~len:rec_len ~mode:Locus_lock.Mode.Shared ());
-        ignore (Api.pread env c ~pos ~len:rec_len)
-      | Opmix.Update _ ->
-        Api.seek env c ~pos;
-        ignore (Api.lock env c ~len:rec_len ~mode:Locus_lock.Mode.Exclusive ());
-        let v = decode (Api.pread env c ~pos ~len:rec_len) in
-        Api.pwrite env c ~pos (Bytes.of_string (encode (v + 1))))
-    ops;
-  let outcome = Api.end_trans env in
-  Array.iter (fun c -> if c >= 0 then Api.close env c) chans;
-  outcome
 
 let install_events cl events ~n_sites =
   let eng = K.engine cl in
-  let net = K.transport cl in
   let clamp v = max 0 v in
+  let at us down ~for_us =
+    Engine.schedule ~delay:(clamp us) eng (fun () ->
+        Bank.outage cl down ~for_us:(clamp for_us))
+  in
   List.iter
     (fun ev ->
       match ev with
       | Scenario.Crash { at_us; restart_after_us; victim } when victim < n_sites ->
-        Engine.schedule ~delay:(clamp at_us) eng (fun () ->
-            K.crash_site cl victim;
-            Engine.schedule ~delay:(clamp restart_after_us) eng (fun () ->
-                K.restart_site cl victim))
+        at at_us (`Crash victim) ~for_us:restart_after_us
       | Scenario.Partition { at_us; heal_after_us; victim } when victim < n_sites ->
-        Engine.schedule ~delay:(clamp at_us) eng (fun () ->
-            Transport.partition net [ [ victim ] ];
-            Engine.schedule ~delay:(clamp heal_after_us) eng (fun () ->
-                Transport.heal net))
+        at at_us (`Partition victim) ~for_us:heal_after_us
       | Scenario.Rolling { at_us; stagger_us; down_us } ->
         (* Never roll site 0: the scenario driver's records file and its
            name binding live there, and a generator that kills its own
            ground truth measures nothing. *)
         for i = 1 to n_sites - 1 do
-          Engine.schedule
-            ~delay:(clamp (at_us + ((i - 1) * clamp stagger_us)))
-            eng
-            (fun () ->
-              K.crash_site cl i;
-              Engine.schedule ~delay:(clamp down_us) eng (fun () ->
-                  K.restart_site cl i))
+          at (at_us + ((i - 1) * clamp stagger_us)) (`Crash i) ~for_us:down_us
         done
       | Scenario.Crash _ | Scenario.Partition _ -> ())
     events
@@ -133,6 +87,14 @@ let run cfg =
        draws below happen unconditionally (even for shed arrivals) so the
        stream stays aligned regardless of fault timing. *)
     let home = Prng.int gen_prng sites in
+    (* Records are striped one file per site (file [i] lives on volume
+       [i], hosted at site [i]); each file holds its own Zipfian key
+       universe. A transaction works its home site's stripe except for a
+       [remote_frac] cross-stripe minority, so the hottest keys contend in
+       parallel at every site (instead of serializing on one storage
+       site's disk) while the remote tail keeps genuine multi-site 2PC in
+       the mix — and a scripted crash of any site takes out real traffic.
+       Each op is [(stripe, op)] with its rank local to that stripe. *)
     let ops =
       List.map
         (fun op ->
@@ -144,6 +106,8 @@ let run cfg =
           (stripe, op))
         (Opmix.gen_txn sc.Scenario.mix gen_prng zipf)
     in
+    let stripes = List.sort_uniq Int.compare (List.map fst ops) in
+    let files = List.map (fun s -> (s, path_of s)) stripes in
     let rec pick i =
       if i = sites then None
       else
@@ -159,7 +123,7 @@ let run cfg =
            ~name:(Printf.sprintf "ld-txn-%d" n)
            (fun env ->
              Otrace.with_span otr ~site ~cat:"load" "load.txn" (fun () ->
-                 (match run_ops env ~stripes:sites ops with
+                 (match Bank.txn env ~files ops with
                  | K.Committed -> incr completed
                  | K.Aborted -> incr aborted
                  | exception (Api.Error _ | Api.Process_failure _) -> incr aborted
@@ -186,13 +150,7 @@ let run cfg =
   ignore
     (Api.spawn_process cl ~site:0 ~name:"ld-init" (fun env ->
          for i = 0 to sites - 1 do
-           let c = Api.creat env (path_of i) ~vid:i in
-           let init = Buffer.create (per_stripe * rec_len) in
-           for _ = 1 to per_stripe do
-             Buffer.add_string init (encode 0)
-           done;
-           Api.write_string env c (Buffer.contents init);
-           Api.close env c
+           Bank.create env (path_of i) ~vid:i ~records:per_stripe
          done;
          t0 := Engine.now eng;
          (* Scenario event times share the arrival epoch, so "partition at

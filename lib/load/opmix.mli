@@ -1,10 +1,9 @@
 (** Configurable transaction op mixes for the traffic engine.
 
     A mix fixes the read/update ratio and the transaction-size range;
-    record targets come from a {!Zipf} popularity distribution. The op
-    type is deliberately tiny and self-contained so both the open-loop
-    driver (which replays ops against {!Locus_core.Api}) and the checker
-    workloads (which convert to their own op type) can consume it. *)
+    record targets come from a {!Zipf} popularity distribution. [op] is
+    the one op type of the open-loop {!Driver} and of the checker's
+    workloads: both run it through {!Bank.txn}. *)
 
 type op = Read of int | Update of int  (** 0-based record rank *)
 
