@@ -2659,7 +2659,9 @@ let rec handle_msg : type r. t -> src:Site.t -> r Msg.t -> (r, Msg.error) result
             with_span k ~cat:"txn" "prepare.force" (fun () ->
                 Participant.prepare k.participant ~txid ~coordinator_site
                   ~files)
-          with _ -> false
+          with
+          | Engine.Killed as e -> raise e
+          | _ -> false
         in
         (* Paxos Commit phase 2a: the vote only counts once an acceptor
            quorum has registered it — including a No vote, so that the

@@ -370,6 +370,46 @@ let test_partition_between_decide_and_phase2 () =
     true
     (check_atomic sim.L.cluster = `Committed)
 
+let test_crash_inside_prepare_force () =
+  (* Site 2 crashes while it forces its prepare log. The participant's
+     fiber dies with its site: no vote, yes or no, may come from it while
+     it is down. The force's window is read from a first, traced run of
+     the same deterministic scenario; the second run is traced too. *)
+  let module Otrace = Locus_otrace.Otrace in
+  let tracer = ref None in
+  let traced cl =
+    let tr = Otrace.create (K.engine cl) in
+    K.set_otracer cl (Some tr);
+    tracer := Some tr
+  in
+  ignore (run_2pc_scenario ~inject:traced);
+  let a, b =
+    match
+      List.find_map
+        (fun (_, _, name, _, site, a, b) ->
+          if name = "prepare.force" && site = 2 then Some (a, b) else None)
+        (Otrace.spans (Option.get !tracer))
+    with
+    | Some w -> w
+    | None -> Alcotest.fail "no prepare.force at site 2"
+  in
+  Alcotest.(check bool) "the force takes time" true (b > a);
+  let from_dead = ref 0 in
+  let sim, _ =
+    run_2pc_scenario ~inject:(fun cl ->
+        traced cl;
+        Engine.schedule ~delay:((a + b) / 2) (K.engine cl) (fun () ->
+            K.crash_site cl 2;
+            Engine.schedule ~delay:2_000_000 (K.engine cl) (fun () ->
+                K.restart_site cl 2));
+        (K.hooks cl).K.on_participant_prepared <-
+          (fun site _txid _vote ->
+            if not (Locus_net.Transport.site_up (K.transport cl) site) then
+              incr from_dead))
+  in
+  Alcotest.(check int) "votes from a dead site" 0 !from_dead;
+  ignore (check_atomic sim.L.cluster)
+
 let suite =
   suite
   @ [
@@ -377,6 +417,8 @@ let suite =
         [
           Alcotest.test_case "double crash during recovery" `Quick
             test_double_crash_during_recovery;
+          Alcotest.test_case "crash inside the prepare force" `Quick
+            test_crash_inside_prepare_force;
           Alcotest.test_case "coordinator crash loop" `Quick
             test_coordinator_crash_loop;
           Alcotest.test_case "whole-cluster power failure" `Quick
