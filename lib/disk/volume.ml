@@ -1,7 +1,5 @@
 type inode = { ino : int; size : int; pages : int array; version : int }
 
-type log_record = { idx : int; tag : string; payload : string; mutable live : bool }
-
 (* One group-commit participant: [work] installs its log records (no I/O
    of its own — the batch pays one shared force), [done_] wakes the
    submitting fiber once the force has landed. *)
@@ -16,7 +14,7 @@ type t = {
   mutable next_page : int;
   mutable free_pages : int list;
   mutable next_inode : int;
-  mutable log : log_record list;  (* newest first *)
+  log : (int, string * string) Hashtbl.t;  (* live [(tag, payload)] by index *)
   mutable next_log_idx : int;
   mutable busy_until : int;  (* disk head horizon: I/Os serialize *)
   mutable two_write_log : bool;
@@ -38,7 +36,7 @@ let create engine ~vid ?(page_size = 1024) () =
     next_page = 0;
     free_pages = [];
     next_inode = 1;
-    log = [];
+    log = Hashtbl.create 16;
     next_log_idx = 0;
     busy_until = 0;
     two_write_log = false;
@@ -153,14 +151,12 @@ let log_io t =
 let append_record t ~tag payload =
   let idx = t.next_log_idx in
   t.next_log_idx <- idx + 1;
-  t.log <- { idx; tag; payload; live = true } :: t.log;
+  Hashtbl.replace t.log idx (tag, payload);
   idx
 
 let overwrite_record t idx ~tag payload =
-  match List.find_opt (fun r -> r.idx = idx) t.log with
-  | None -> invalid_arg "Volume.log_overwrite: no such record"
-  | Some r ->
-    t.log <- { idx; tag; payload; live = r.live } :: List.filter (fun r -> r.idx <> idx) t.log
+  if not (Hashtbl.mem t.log idx) then invalid_arg "Volume.log_overwrite: no such record";
+  Hashtbl.replace t.log idx (tag, payload)
 
 (* Flush one group-commit batch: a single shared force (two with the
    footnote-9 ablation), then install every member's records and wake the
@@ -203,7 +199,7 @@ let log_append t ~tag payload =
     t.next_log_idx <- idx + 1;
     log_io t;
     if t.two_write_log then log_io t;
-    t.log <- { idx; tag; payload; live = true } :: t.log;
+    Hashtbl.replace t.log idx (tag, payload);
     idx
   end
 
@@ -230,11 +226,10 @@ let log_overwrite t idx ~tag payload =
   end
 
 let log_records t =
-  List.filter_map (fun r -> if r.live then Some (r.idx, r.tag, r.payload) else None) t.log
+  Hashtbl.fold (fun idx (tag, payload) acc -> (idx, tag, payload) :: acc) t.log []
   |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
-let log_delete t idx =
-  List.iter (fun r -> if r.idx = idx then r.live <- false) t.log
+let log_delete t idx = Hashtbl.remove t.log idx
 
 let set_two_write_log t v = t.two_write_log <- v
 let io_reads t = t.reads

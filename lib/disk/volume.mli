@@ -87,8 +87,9 @@ val inode_exists : t -> int -> bool
 
 (** {1 Per-volume log}
 
-    An append-only record store used for the coordinator and prepare logs.
-    Records are opaque strings (the transaction layer defines the codec). *)
+    An indexed record store used for the coordinator and prepare logs.
+    Records are opaque strings (the transaction layer defines the codec).
+    It holds only live records, and survives crashes like the pages. *)
 
 val log_append : t -> tag:string -> string -> int
 (** Blocking append; returns the record's index. With
@@ -103,8 +104,9 @@ val log_append_many : t -> tag:string -> string list -> int list
     multi-page commit record costs one window, not [log_pages] of them. *)
 
 val log_overwrite : t -> int -> tag:string -> string -> unit
-(** Blocking in-place update of a log record (e.g. writing the commit mark
-    into a coordinator log, §4.2). One I/O. *)
+(** Blocking in-place update of a live log record (e.g. writing the commit
+    mark into a coordinator log, §4.2). One I/O. [Invalid_argument] for an
+    index that is not live. *)
 
 (** {2 Group commit}
 
@@ -137,7 +139,7 @@ val log_records : t -> (int * string * string) list
     recovery charges explicitly for its scan. *)
 
 val log_delete : t -> int -> unit
-(** Discard a record once commit/abort processing has finished (§4.4).
+(** Remove a record once commit/abort processing has finished (§4.4).
     No I/O charge (modelled as a lazy space reuse). *)
 
 val set_two_write_log : t -> bool -> unit

@@ -87,7 +87,32 @@ let test_log () =
       Alcotest.(check (list (triple int string string)))
         "after overwrite+delete"
         [ (i2, "b", "TWO"); (i3, "a", "three") ]
-        (V.log_records v))
+        (V.log_records v);
+      (* Many append/delete cycles: only every hundredth record stays. *)
+      let kept =
+        List.filter_map
+          (fun k ->
+            let i = V.log_append v ~tag:"c" (string_of_int k) in
+            if k mod 100 = 0 then Some (i, "c", string_of_int k)
+            else (V.log_delete v i; None))
+          (List.init 1000 (fun k -> k + 1))
+      in
+      V.log_overwrite v i3 ~tag:"a" "THREE";
+      Alcotest.check_raises "a deleted record cannot be overwritten"
+        (Invalid_argument "Volume.log_overwrite: no such record") (fun () ->
+          V.log_overwrite v i1 ~tag:"a" "ONE");
+      (* A crash: the site's fiber dies inside its append's force, and the
+         record it was writing never lands. *)
+      let doomed = E.spawn ~site:1 e (fun () -> ignore (V.log_append v ~tag:"d" "lost")) in
+      E.sleep 1;
+      E.kill e doomed;
+      V.reset_group_commit v;
+      Alcotest.(check (list (triple int string string)))
+        "read back after the crash, in index order"
+        ((i2, "b", "TWO") :: (i3, "a", "THREE") :: kept)
+        (V.log_records v);
+      let next = V.log_append v ~tag:"e" "after" in
+      Alcotest.(check bool) "indices never reused" true (next > i3 + 1000 + 1))
 
 let test_two_write_log () =
   in_sim (fun e ->
