@@ -8,15 +8,26 @@
 #
 #   bench/main.exe e2 e3 e4 e10 e12 e15 e16 e17 e18 e19 e20 e21
 #
-# and every scripts/ci_sweep.sh lane, then diffs the BENCH_*.json files
-# and the lane outputs. Only host-time fields are masked: e21's
+# every scripts/ci_sweep.sh lane, the CI load smoke
+#
+#   locusctl load --seed 42 --scenario flash-partition
+#
+# and each benchmark workload
+#
+#   bash benchmark/run.sh --workload W --seed 1 --seconds 2 --trace 0
+#
+# then diffs the BENCH_*.json files, the lane outputs, the load JSON and,
+# for the benchmark, its "correct" and "failed" fields and every metric
+# row on the virtual clock. Only host-time fields are masked: e21's
 # "wall_s" and "events_per_sec_wall", and the explorer's cpu-seconds and
 # schedules/s. Everything else is simulated and must match byte for
 # byte. Each side's raw outputs and exit codes stay in OUT_DIR (default:
 # a fresh temp dir, printed at the end). Exits 1 if anything differs.
-# It only reads benchmark/ and changes nothing in either tree.
+# It runs benchmark/ from each side's copy and changes nothing in either
+# tree.
 #
-# A full run takes a while (every lane twice): run it on a quiet machine.
+# A full run takes about two minutes (every lane and workload twice): run
+# it on a quiet machine.
 
 set -eu
 
@@ -28,6 +39,7 @@ trap 'rm -rf "$src"' EXIT
 
 experiments="e2 e3 e4 e10 e12 e15 e16 e17 e18 e19 e20 e21"
 lanes="deadlock-check repl paxos shard chaos health openloop"
+workloads="ladder hotspot sweep audit"
 
 mkdir -p "$src/base" "$out/base" "$out/head"
 git -C "$root" archive "$base" | tar -x -C "$src/base"
@@ -37,6 +49,14 @@ mask() {
   sed -E \
     -e 's/"(wall_s|events_per_sec_wall)": [0-9.e+-]+/"\1": _/g' \
     -e 's/in [0-9.]+s cpu = [0-9.]+ schedules\/s/in _s cpu = _ schedules\/s/'
+}
+
+# The benchmark's simulated results: the "correct" and "failed" fields
+# of its JSON line and every metric row whose clock column reads virtual.
+virtual_rows() {
+  sed -nE \
+    -e '/^[^ ]+ +[^ ]+ +[^ ]+ +virtual/p' -e '/^exit /p' \
+    -e 's/^\{"correct": ([a-z]+), "attempted": [0-9]+, "failed": ([0-9]+).*/correct \1 failed \2/p'
 }
 
 run_side() {
@@ -54,6 +74,14 @@ run_side() {
     (cd "$dir" && bash scripts/ci_sweep.sh "$lane" 2>&1 \
        ; echo "exit $?") | mask >"$dst/lane-$lane.out"
   done
+  (cd "$dir" && ./_build/default/bin/locusctl.exe load --seed 42 \
+     --scenario flash-partition --out "$dst/load.json" >/dev/null 2>&1 \
+     ; echo "exit $?") >"$dst/load-exit.out"
+  for w in $workloads; do
+    (cd "$dir" && bash benchmark/run.sh --workload "$w" --seed 1 \
+       --seconds 2 --trace 0 2>/dev/null; echo "exit $?") \
+      | virtual_rows >"$dst/benchmark-$w.out"
+  done
 }
 
 # The working tree is copied too, so neither side's BENCH files land in
@@ -68,7 +96,7 @@ run_side "$src/base" "$out/base"
 run_side "$src/head" "$out/head"
 
 status=0
-for f in $(cd "$out/base" && ls BENCH_*.json *.out); do
+for f in $(cd "$out/base" && ls BENCH_*.json load.json *.out); do
   if diff -u "$out/base/$f" "$out/head/$f" >"$out/$f.diff"; then
     rm "$out/$f.diff"
     echo "same   $f"
