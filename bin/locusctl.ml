@@ -1,12 +1,15 @@
 (* locusctl — drive scripted scenarios on a simulated Locus cluster from
    the command line.
 
-     locusctl bank --sites 4 --tellers 8 --transfers 6
-     locusctl chaos --orders 20 --crash-at 4.0
      locusctl deadlock --cycle 5
-     locusctl stats --sites 3
+     locusctl explore --seeds 1 --seed 7
+     locusctl load --seed 42 --scenario flash-partition
+     locusctl info --sites 3
 
-   Every run is deterministic for a given --seed. *)
+   The bank-transfer, crash-mid-order and DebitCredit workloads are the
+   examples (examples/banking.ml, inventory.ml, debit_credit.ml); a
+   single generated workload is `explore --seeds 1 --seed N`. Every run
+   is deterministic for a given --seed. *)
 
 module L = Locus_core.Locus
 module Api = L.Api
@@ -50,176 +53,6 @@ let trace_arg =
 
 let sites_arg =
   Arg.(value & opt int 3 & info [ "sites" ] ~docv:"N" ~doc:"Number of sites.")
-
-(* {1 bank} *)
-
-let bank seed sites tellers transfers =
-  let n_accounts = 32 and rec_len = 16 and initial = 1000 in
-  let sim = L.make ~seed ~n_sites:sites () in
-  let cl = sim.L.cluster in
-  let read_bal env c a =
-    int_of_string
-      (String.trim (Bytes.to_string (Api.pread env c ~pos:(a * rec_len) ~len:rec_len)))
-  in
-  let write_bal env c a v =
-    Api.pwrite env c ~pos:(a * rec_len)
-      (Bytes.of_string (Printf.sprintf "%-*d" rec_len v))
-  in
-  let total = ref 0 in
-  ignore
-    (Api.spawn_process cl ~site:0 ~name:"setup" (fun env ->
-         let c = Api.creat env "/bank/accounts" ~vid:1 in
-         for a = 0 to n_accounts - 1 do
-           write_bal env c a initial
-         done;
-         Api.close env c;
-         let teller i =
-           Api.fork env ~site:(i mod sites) ~name:(Printf.sprintf "teller%d" i)
-             (fun tenv ->
-               let prng = Prng.create ~seed:(seed + i) in
-               let c = Api.open_file tenv "/bank/accounts" in
-               for _ = 1 to transfers do
-                 let from_a = Prng.int prng n_accounts in
-                 let to_a = Prng.int prng n_accounts in
-                 let amount = 1 + Prng.int prng 200 in
-                 let rec attempt tries =
-                   let ok = ref false in
-                   let w =
-                     Api.fork tenv ~name:"xfer" (fun env ->
-                         Api.begin_trans env;
-                         Api.seek env c ~pos:(from_a * rec_len);
-                         (match Api.lock env c ~len:rec_len ~mode:M.Exclusive () with
-                         | Api.Granted -> ()
-                         | Api.Conflict _ -> ());
-                         if to_a <> from_a then begin
-                           Api.seek env c ~pos:(to_a * rec_len);
-                           match Api.lock env c ~len:rec_len ~mode:M.Exclusive () with
-                           | Api.Granted -> ()
-                           | Api.Conflict _ -> ()
-                         end;
-                         let src = read_bal env c from_a in
-                         if src >= amount && to_a <> from_a then begin
-                           write_bal env c from_a (src - amount);
-                           write_bal env c to_a (read_bal env c to_a + amount)
-                         end;
-                         match Api.end_trans env with
-                         | K.Committed -> ok := true
-                         | K.Aborted -> ())
-                   in
-                   Api.wait_pid tenv w;
-                   if (not !ok) && tries < 5 then attempt (tries + 1)
-                 in
-                 attempt 0
-               done;
-               Api.close tenv c)
-         in
-         let pids = List.init tellers teller in
-         List.iter (Api.wait_pid env) pids;
-         let c = Api.open_file env "/bank/accounts" in
-         for a = 0 to n_accounts - 1 do
-           total := !total + read_bal env c a
-         done;
-         Api.close env c));
-  L.run sim;
-  Fmt.pr "final total: %d (expected %d) -> %s@." !total (n_accounts * initial)
-    (if !total = n_accounts * initial then "CONSERVED" else "VIOLATION");
-  print_summary sim;
-  if !total <> n_accounts * initial then exit 1
-
-let bank_cmd =
-  let tellers =
-    Arg.(value & opt int 8 & info [ "tellers" ] ~docv:"N" ~doc:"Teller processes.")
-  in
-  let transfers =
-    Arg.(value & opt int 6 & info [ "transfers" ] ~docv:"N" ~doc:"Transfers per teller.")
-  in
-  Cmd.v
-    (Cmd.info "bank" ~doc:"Concurrent bank transfers with record locking.")
-    Term.(const bank $ seed_arg $ sites_arg $ tellers $ transfers)
-
-(* {1 chaos} *)
-
-let chaos seed sites orders crash_at =
-  let sim = L.make ~seed ~n_sites:(max sites 3) () in
-  let cl = sim.L.cluster in
-  let placed = ref 0 and failed = ref 0 in
-  ignore
-    (Api.spawn_process cl ~site:0 ~name:"chaos" (fun _ ->
-         Engine.sleep (int_of_float (crash_at *. 1_000_000.));
-         Fmt.pr "!! crashing site 1@.";
-         K.crash_site cl 1;
-         Engine.sleep 2_000_000;
-         Fmt.pr "!! rebooting site 1@.";
-         K.restart_site cl 1));
-  ignore
-    (Api.spawn_process cl ~site:0 ~name:"shop" (fun env ->
-         let sc = Api.creat env "/stock" ~vid:1 in
-         Api.pwrite env sc ~pos:0 (Bytes.of_string (Printf.sprintf "%-16d" 10_000));
-         Api.close env sc;
-         let oc = Api.creat env "/orders" ~vid:2 in
-         Api.close env oc;
-         for n = 1 to orders do
-           let ok = ref false in
-           let runner =
-             Api.fork env ~name:"order" (fun oenv ->
-                 Api.begin_trans oenv;
-                 let sc = Api.open_file oenv "/stock" in
-                 Api.seek oenv sc ~pos:0;
-                 (match Api.lock oenv sc ~len:16 ~mode:M.Exclusive () with
-                 | Api.Granted -> ()
-                 | Api.Conflict _ -> Api.fail oenv "lock");
-                 let have =
-                   int_of_string
-                     (String.trim (Bytes.to_string (Api.pread oenv sc ~pos:0 ~len:16)))
-                 in
-                 Api.pwrite oenv sc ~pos:0
-                   (Bytes.of_string (Printf.sprintf "%-16d" (have - 5)));
-                 let oc = Api.open_file oenv "/orders" in
-                 Api.set_append oenv oc true;
-                 (match Api.lock oenv oc ~len:32 ~mode:M.Exclusive () with
-                 | Api.Granted -> ()
-                 | Api.Conflict _ -> Api.fail oenv "append lock");
-                 Api.write_string oenv oc
-                   (Printf.sprintf "%-32s" (Printf.sprintf "order=%d qty=5" n));
-                 match Api.end_trans oenv with
-                 | K.Committed -> ok := true
-                 | K.Aborted -> ())
-           in
-           Api.wait_pid env runner;
-           if !ok then incr placed else incr failed;
-           Engine.sleep 300_000
-         done));
-  L.run sim;
-  let stock =
-    match K.lookup cl "/stock" with
-    | Some fid ->
-      int_of_string (String.trim (K.read_committed_oracle cl fid))
-    | None -> -1
-  in
-  let orders_bytes =
-    match K.lookup cl "/orders" with
-    | Some fid -> String.length (K.read_committed_oracle cl fid)
-    | None -> 0
-  in
-  Fmt.pr "placed=%d failed=%d stock=%d orders=%d@." !placed !failed stock
-    (orders_bytes / 32);
-  Fmt.pr "atomicity: %s@."
-    (if 10_000 - stock = 5 * (orders_bytes / 32) then "PRESERVED" else "VIOLATED");
-  print_summary sim;
-  if 10_000 - stock <> 5 * (orders_bytes / 32) then exit 1
-
-let chaos_cmd =
-  let orders =
-    Arg.(value & opt int 15 & info [ "orders" ] ~docv:"N" ~doc:"Orders to place.")
-  in
-  let crash_at =
-    Arg.(
-      value & opt float 2.5
-      & info [ "crash-at" ] ~docv:"SECONDS" ~doc:"When to crash site 1 (virtual).")
-  in
-  Cmd.v
-    (Cmd.info "chaos" ~doc:"Multi-site transactions with a mid-run crash+reboot.")
-    Term.(const chaos $ seed_arg $ sites_arg $ orders $ crash_at)
 
 (* {1 deadlock} *)
 
@@ -304,103 +137,7 @@ let deadlock_cmd =
     Term.(
       const deadlock $ seed_arg $ sites_arg $ cycle $ trace_arg $ expect_resolved)
 
-(* {1 dc: the DebitCredit workload} *)
-
-let dc seed sites terminals txns =
-  let sites = max sites 2 in
-  let sim = L.make ~seed ~n_sites:sites () in
-  let cl = sim.L.cluster in
-  let rec_len = 16 in
-  let n_accounts = 64 and n_tellers = 8 and n_branches = 2 in
-  let committed = ref 0 and t_start = ref 0 and t_end = ref 0 in
-  ignore
-    (Api.spawn_process cl ~site:0 ~name:"setup" (fun env ->
-         let mk path vid n =
-           let c = Api.creat env path ~vid in
-           for i = 0 to n - 1 do
-             Api.pwrite env c ~pos:(i * rec_len)
-               (Bytes.of_string (Printf.sprintf "%-*d" rec_len 0))
-           done;
-           Api.close env c
-         in
-         mk "/dc/accounts" 1 n_accounts;
-         mk "/dc/tellers" (min 2 (sites - 1)) n_tellers;
-         mk "/dc/branches" 0 n_branches;
-         let h = Api.creat env "/dc/history" ~vid:0 in
-         Api.close env h;
-         let e = K.engine cl in
-         t_start := Engine.now e;
-         let terminal t =
-           Api.fork env ~site:(t mod sites) ~name:(Printf.sprintf "term%d" t)
-             (fun tenv ->
-               let prng = Prng.create ~seed:(seed + t) in
-               let chans =
-                 List.map (Api.open_file tenv)
-                   [ "/dc/accounts"; "/dc/tellers"; "/dc/branches"; "/dc/history" ]
-               in
-               match chans with
-               | [ ac; tc; bc; hc ] ->
-                 for _ = 1 to txns do
-                   let acct = Prng.int prng n_accounts in
-                   let teller = Prng.int prng n_tellers in
-                   let branch = teller mod n_branches in
-                   let delta = Prng.int_in prng ~lo:(-99) ~hi:99 in
-                   let w =
-                     Api.fork tenv ~name:"dc" (fun w ->
-                         Api.begin_trans w;
-                         let upd c i =
-                           Api.seek w c ~pos:(i * rec_len);
-                           (match Api.lock w c ~len:rec_len ~mode:M.Exclusive () with
-                           | Api.Granted -> ()
-                           | Api.Conflict _ -> ());
-                           let v =
-                             int_of_string
-                               (String.trim
-                                  (Bytes.to_string
-                                     (Api.pread w c ~pos:(i * rec_len) ~len:rec_len)))
-                           in
-                           Api.pwrite w c ~pos:(i * rec_len)
-                             (Bytes.of_string (Printf.sprintf "%-*d" rec_len (v + delta)))
-                         in
-                         upd ac acct;
-                         upd tc teller;
-                         upd bc branch;
-                         Api.set_append w hc true;
-                         (match Api.lock w hc ~len:32 ~mode:M.Exclusive () with
-                         | Api.Granted -> ()
-                         | Api.Conflict _ -> ());
-                         Api.write_string w hc (Printf.sprintf "%-32d" delta);
-                         match Api.end_trans w with
-                         | K.Committed -> incr committed
-                         | K.Aborted -> ())
-                   in
-                   Api.wait_pid tenv w
-                 done;
-                 List.iter (Api.close tenv) chans
-               | _ -> assert false)
-         in
-         let pids = List.init terminals terminal in
-         List.iter (Api.wait_pid env) pids;
-         t_end := Engine.now e));
-  L.run sim;
-  let secs = float_of_int (!t_end - !t_start) /. 1_000_000. in
-  Fmt.pr "DebitCredit: %d committed in %.2f virtual seconds = %.1f tps@."
-    !committed secs
-    (float_of_int !committed /. secs);
-  print_summary sim
-
-let dc_cmd =
-  let terminals =
-    Arg.(value & opt int 8 & info [ "terminals" ] ~docv:"N" ~doc:"Terminals.")
-  in
-  let txns =
-    Arg.(value & opt int 5 & info [ "txns" ] ~docv:"N" ~doc:"Transactions per terminal.")
-  in
-  Cmd.v
-    (Cmd.info "dc" ~doc:"DebitCredit (TPC-A style) throughput run.")
-    Term.(const dc $ seed_arg $ sites_arg $ terminals $ txns)
-
-(* {1 check / explore: the Locus_check harness} *)
+(* {1 explore: the Locus_check harness} *)
 
 module Ck = Locus_check
 
@@ -565,31 +302,6 @@ let arrival_arg =
            Zipfian popularity law, and the driver releases each at its \
            instant instead of forking everything at once. Default: the \
            classic closed-loop generator.")
-
-let check seed sites txns ops records replicas batch_window fault_every commit
-    paxos_f shards policy net_faults arrival =
-  let cfg =
-    check_config ?arrival sites txns ops records replicas batch_window
-      fault_every (commit_of commit paxos_f) shards policy net_faults
-  in
-  let spec, hist, report, blocked = Ck.Explore.run_seed cfg seed in
-  Fmt.pr "workload (seed %d):@.%a@." seed Ck.Workload.pp spec;
-  Fmt.pr "@.history: %d events@." (Ck.History.length hist);
-  Fmt.pr "%a@." Ck.Checker.pp report;
-  (match blocked with
-  | [] -> ()
-  | bs -> Fmt.pr "BLOCKED in-doubt participants: %a@." pp_blocked bs);
-  if (not (Ck.Checker.ok report)) || blocked <> [] then exit 1
-
-let check_cmd =
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:"Run one generated workload and check its history for serializability.")
-    Term.(
-      const check $ seed_arg $ sites_arg $ txns_arg $ ops_arg $ records_arg
-      $ replicas_arg $ batch_window_arg $ fault_every_arg $ commit_arg
-      $ paxos_f_arg $ shards_arg $ migrate_policy_arg $ net_faults_arg
-      $ arrival_arg)
 
 let explore seed sites txns ops records replicas batch_window fault_every
     n_seeds mutants commit paxos_f shards policy net_faults health_window
@@ -1256,7 +968,7 @@ let load_cmd =
       const load $ seed_arg $ sites_arg $ replicas_arg $ duration_arg
       $ scenario_arg $ scenario_file_arg $ rate_arg $ out_arg)
 
-(* {1 stats} *)
+(* {1 info} *)
 
 let cluster_info _seed sites =
   let sim = L.make ~n_sites:sites () in
@@ -1284,6 +996,6 @@ let () =
     (Cmd.eval
        (Cmd.group
           (Cmd.info "locusctl" ~version:"1.0" ~doc)
-          [ bank_cmd; chaos_cmd; deadlock_cmd; dc_cmd; check_cmd; explore_cmd;
-            repl_status_cmd; shard_status_cmd; trace_export_cmd; metrics_cmd;
-            health_cmd; top_cmd; load_cmd; stats_cmd ]))
+          [ deadlock_cmd; explore_cmd; repl_status_cmd; shard_status_cmd;
+            trace_export_cmd; metrics_cmd; health_cmd; top_cmd; load_cmd;
+            stats_cmd ]))

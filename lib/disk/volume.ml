@@ -1,4 +1,10 @@
-type inode = { ino : int; size : int; pages : int array; version : int }
+type inode = {
+  ino : int;
+  size : int;
+  pages : int array;
+  gens : int array;
+  version : int;
+}
 
 (* One group-commit participant: [work] installs its log records (no I/O
    of its own — the batch pays one shared force), [done_] wakes the
@@ -100,7 +106,7 @@ let alloc_inode t =
 
 let read_inode_nosim t ino =
   match Hashtbl.find_opt t.inodes ino with
-  | Some i -> { i with pages = Array.copy i.pages }
+  | Some i -> { i with pages = Array.copy i.pages; gens = Array.copy i.gens }
   | None -> raise Not_found
 
 let read_inode t ino =
@@ -120,7 +126,12 @@ let write_inode t inode =
      propagation writes an inode the local allocator never handed out). *)
   t.next_inode <- max t.next_inode (inode.ino + 1);
   Hashtbl.replace t.inodes inode.ino
-    { inode with pages = Array.copy inode.pages; version = prev_version + 1 }
+    {
+      inode with
+      pages = Array.copy inode.pages;
+      gens = Array.copy inode.gens;
+      version = prev_version + 1;
+    }
 
 (* Install an inode at exactly [inode.version] — no auto-bump. Used when a
    secondary replica mirrors the primary's committed state: the version
@@ -130,7 +141,8 @@ let install_inode t inode =
   t.writes <- t.writes + 1;
   io t ~kind:"write" ~bytes:t.page_size;
   t.next_inode <- max t.next_inode (inode.ino + 1);
-  Hashtbl.replace t.inodes inode.ino { inode with pages = Array.copy inode.pages }
+  Hashtbl.replace t.inodes inode.ino
+    { inode with pages = Array.copy inode.pages; gens = Array.copy inode.gens }
 
 let inode_version_nosim t ino =
   match Hashtbl.find_opt t.inodes ino with Some i -> i.version | None -> 0

@@ -19,6 +19,10 @@ type inode = {
   ino : int;
   size : int;  (** file length in bytes *)
   pages : int array;  (** page slot for each page-sized extent; -1 = hole *)
+  gens : int array;
+      (** commit generation of each page: bumped every time a commit
+          installs the page, so it tells two installs apart even when
+          they reuse one slot number; 0 past the end of the array *)
   version : int;  (** bumped on every inode write; used by recovery checks *)
 }
 

@@ -105,6 +105,20 @@ let stats t = Engine.stats t.engine
 let committed_slot inode index =
   if index < Array.length inode.Volume.pages then inode.Volume.pages.(index) else -1
 
+(* Commit generation of logical page [index]: how many commits have
+   installed it. *)
+let committed_gen inode index =
+  if index < Array.length inode.Volume.gens then inode.Volume.gens.(index) else 0
+
+(* A copy of [a] with at least [n] entries, the new ones [fill]. *)
+let extended a n fill =
+  if n <= Array.length a then Array.copy a
+  else begin
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
 let blank vol = Bytes.make (Volume.page_size vol) '\000'
 
 let committed_page_content t vol inode index =
@@ -117,7 +131,8 @@ let create_file t ~vid =
   | None -> invalid_arg "Filestore.create_file: volume not mounted"
   | Some vol ->
     let ino = Volume.alloc_inode vol in
-    Volume.write_inode vol { Volume.ino; size = 0; pages = [||]; version = 0 };
+    Volume.write_inode vol
+      { Volume.ino; size = 0; pages = [||]; gens = [||]; version = 0 };
     File_id.make ~vid ~ino
 
 let open_file t fid =
@@ -275,9 +290,12 @@ let read_committed_any t fid ~pos ~len =
   out
 
 let owner_ranges ps owner =
-  match List.assoc_opt owner (List.map (fun (o, r) -> (o, r)) ps.mods) with
+  match List.assoc_opt owner ps.mods with
   | Some r -> r
   | None -> Range_set.empty
+
+let owner_extent f owner =
+  match List.assoc_opt owner f.extents with Some e -> e | None -> 0
 
 let set_owner_ranges ps owner rs =
   let rest = List.filter (fun (o, _) -> not (Owner.equal o owner)) ps.mods in
@@ -309,13 +327,8 @@ let write t fid ~owner ~pos data =
         let r = Byte_range.v ~lo:page_lo ~hi:page_hi in
         set_owner_ranges ps owner (Range_set.add r (owner_ranges ps owner)));
     let extent = pos + len in
-    let prev =
-      match List.assoc_opt owner (List.map (fun (o, e) -> (o, e)) f.extents) with
-      | Some e -> e
-      | None -> 0
-    in
     f.extents <-
-      (owner, max prev extent)
+      (owner, max (owner_extent f owner) extent)
       :: List.filter (fun (o, _) -> not (Owner.equal o owner)) f.extents
   end
 
@@ -398,23 +411,11 @@ let adopt t fid ~range ~new_owner =
             let hi_byte =
               Range_set.fold (fun r acc -> max acc (base + Byte_range.hi r)) !adopted 0
             in
-            let prev =
-              match
-                List.assoc_opt new_owner (List.map (fun (o, e) -> (o, e)) f.extents)
-              with
-              | Some e -> e
-              | None -> 0
-            in
             f.extents <-
-              (new_owner, max prev hi_byte)
+              (new_owner, max (owner_extent f new_owner) hi_byte)
               :: List.filter (fun (o, _) -> not (Owner.equal o new_owner)) f.extents
           end)
       f.pstates
-
-let owner_extent f owner =
-  match List.assoc_opt owner (List.map (fun (o, e) -> (o, e)) f.extents) with
-  | Some e -> e
-  | None -> 0
 
 let prepare t fid ~owner =
   let f = get_exn t fid in
@@ -444,6 +445,7 @@ let prepare t fid ~owner =
           Intentions.index;
           slot;
           base_slot = committed_slot f.inode index;
+          gen = committed_gen f.inode index;
           ranges;
           sole;
         })
@@ -487,14 +489,8 @@ let commit_prepared_locked t (it : Intentions.t) =
   let max_index =
     List.fold_left (fun acc p -> max acc p.Intentions.index) (-1) it.Intentions.pages
   in
-  let pages =
-    if max_index < Array.length inode.Volume.pages then Array.copy inode.Volume.pages
-    else begin
-      let a = Array.make (max_index + 1) (-1) in
-      Array.blit inode.Volume.pages 0 a 0 (Array.length inode.Volume.pages);
-      a
-    end
-  in
+  let pages = extended inode.Volume.pages (max_index + 1) (-1) in
+  let gens = extended inode.Volume.gens (Array.length pages) 0 in
   let freed = ref [] in
   List.iter
     (fun (p : Intentions.page_commit) ->
@@ -503,7 +499,9 @@ let commit_prepared_locked t (it : Intentions.t) =
         (* Duplicate commit message (§4.4): already applied, nothing to do. *)
         Stats.incr (stats t) "commit.dup"
       else begin
-        if p.sole && cur_slot = p.base_slot then begin
+        (* Slot numbers are reused, so the base slot alone cannot tell
+           whether another commit installed the page since prepare. *)
+        if p.sole && cur_slot = p.base_slot && gens.(p.index) = p.gen then begin
           (* Figure 4(a): the flushed shadow is the whole new page. *)
           Stats.incr (stats t) "commit.direct";
           pages.(p.index) <- p.slot
@@ -532,6 +530,7 @@ let commit_prepared_locked t (it : Intentions.t) =
           Cache.put t.cache vol p.slot merged;
           pages.(p.index) <- p.slot
         end;
+        gens.(p.index) <- gens.(p.index) + 1;
         if cur_slot <> -1 then freed := cur_slot :: !freed
       end)
     it.Intentions.pages;
@@ -539,6 +538,7 @@ let commit_prepared_locked t (it : Intentions.t) =
     {
       inode with
       Volume.pages;
+      gens;
       size = max inode.Volume.size it.Intentions.new_size;
     }
   in
@@ -624,20 +624,17 @@ let install_replica_locked t fid ~version ~size ~full ~pages =
   let cur =
     match committed_inode_opt t fid with
     | Some i -> i
-    | None -> { Volume.ino = fid.File_id.ino; size = 0; pages = [||]; version = 0 }
+    | None ->
+      { Volume.ino = fid.File_id.ino; size = 0; pages = [||]; gens = [||]; version = 0 }
   in
   if version <= cur.Volume.version then false
   else begin
     let max_index = List.fold_left (fun acc (i, _) -> max acc i) (-1) pages in
     let slots =
       if full then Array.make (max_index + 1) (-1)
-      else begin
-        let n = max (Array.length cur.Volume.pages) (max_index + 1) in
-        let a = Array.make n (-1) in
-        Array.blit cur.Volume.pages 0 a 0 (Array.length cur.Volume.pages);
-        a
-      end
+      else extended cur.Volume.pages (max_index + 1) (-1)
     in
+    let gens = extended cur.Volume.gens (Array.length slots) 0 in
     List.iter
       (fun (index, content) ->
         let prev =
@@ -647,7 +644,8 @@ let install_replica_locked t fid ~version ~size ~full ~pages =
         let slot = if prev = -1 then Volume.alloc_page vol else prev in
         Volume.write_page vol slot content;
         Cache.put t.cache vol slot content;
-        slots.(index) <- slot)
+        slots.(index) <- slot;
+        gens.(index) <- gens.(index) + 1)
       pages;
     if full then
       (* Slots of the old copy that the snapshot did not carry over. *)
@@ -657,7 +655,7 @@ let install_replica_locked t fid ~version ~size ~full ~pages =
             Volume.free_page vol s)
         cur.Volume.pages;
     Volume.install_inode vol
-      { Volume.ino = fid.File_id.ino; size; pages = slots; version };
+      { Volume.ino = fid.File_id.ino; size; pages = slots; gens; version };
     (match Hashtbl.find_opt t.files fid with
     | Some f -> f.inode <- Volume.read_inode_nosim vol fid.File_id.ino
     | None -> ());

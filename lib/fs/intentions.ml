@@ -2,6 +2,7 @@ type page_commit = {
   index : int;
   slot : int;
   base_slot : int;
+  gen : int;
   ranges : (int * int) list;
   sole : bool;
 }

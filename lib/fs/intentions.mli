@@ -21,6 +21,7 @@ type page_commit = {
   slot : int;  (** shadow slot holding the flushed page image *)
   base_slot : int;
       (** committed slot the shadow was based on; -1 = page was a hole *)
+  gen : int;  (** the page's commit generation at prepare *)
   ranges : (int * int) list;
       (** page-relative [(offset, length)] ranges owned by this update *)
   sole : bool;

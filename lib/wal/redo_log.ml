@@ -19,7 +19,7 @@ let volume t = t.vol
 
 let create_file t =
   let ino = Volume.alloc_inode t.vol in
-  Volume.write_inode t.vol { Volume.ino; size = 0; pages = [||]; version = 0 };
+  Volume.write_inode t.vol { Volume.ino; size = 0; pages = [||]; gens = [||]; version = 0 };
   let fid = File_id.make ~vid:(Volume.vid t.vol) ~ino in
   Hashtbl.replace t.images fid { data = Bytes.create 0; size = 0 };
   fid
@@ -129,7 +129,8 @@ let checkpoint t =
       let img = image t fid in
       let inode =
         try Volume.read_inode_nosim t.vol fid.File_id.ino
-        with Not_found -> { Volume.ino = fid.File_id.ino; size = 0; pages = [||]; version = 0 }
+        with Not_found ->
+          { Volume.ino = fid.File_id.ino; size = 0; pages = [||]; gens = [||]; version = 0 }
       in
       let max_page = List.fold_left max 0 pages in
       let slots = Array.make (max (max_page + 1) (Array.length inode.Volume.pages)) (-1) in
@@ -145,7 +146,7 @@ let checkpoint t =
           Volume.write_page t.vol slot content;
           incr ios)
         (List.sort_uniq Int.compare pages);
-      Volume.write_inode t.vol { Volume.ino = fid.File_id.ino; size = img.size; pages = slots; version = 0 };
+      Volume.write_inode t.vol { inode with Volume.size = img.size; pages = slots };
       incr ios)
     by_fid;
   t.dirty <- [];

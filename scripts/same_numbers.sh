@@ -12,17 +12,25 @@
 #
 #   locusctl load --seed 42 --scenario flash-partition
 #
+# the other locusctl smokes (the deadlock one is the deadlock-check lane)
+#
+#   locusctl health --seed 42 --out FILE --series-out FILE
+#   locusctl top --seed 42
+#   locusctl trace-export --seed 7 --out FILE
+#   locusctl metrics --seed 7 --out FILE
+#
 # and each benchmark workload
 #
 #   bash benchmark/run.sh --workload W --seed 1 --seconds 2 --trace 0
 #
-# then diffs the BENCH_*.json files, the lane outputs, the load JSON and,
-# for the benchmark, its "correct" and "failed" fields and every metric
-# row on the virtual clock. Only host-time fields are masked: e21's
-# "wall_s" and "events_per_sec_wall", and the explorer's cpu-seconds and
-# schedules/s. Everything else is simulated and must match byte for
-# byte. Each side's raw outputs and exit codes stay in OUT_DIR (default:
-# a fresh temp dir, printed at the end). Exits 1 if anything differs.
+# then diffs the BENCH_*.json files, the lane outputs, the load JSON, the
+# smokes' files, printouts and exit codes and, for the benchmark, its
+# "correct" and "failed" fields and every metric row on the virtual
+# clock. Only host-time fields are masked: e21's "wall_s" and
+# "events_per_sec_wall", and the explorer's cpu-seconds and schedules/s.
+# Everything else is simulated and must match byte for byte. Each side's
+# raw outputs and exit codes stay in OUT_DIR (default: a fresh temp dir,
+# printed at the end). Exits 1 if anything differs.
 # It runs benchmark/ from each side's copy and changes nothing in either
 # tree.
 #
@@ -77,6 +85,15 @@ run_side() {
   (cd "$dir" && ./_build/default/bin/locusctl.exe load --seed 42 \
      --scenario flash-partition --out "$dst/load.json" >/dev/null 2>&1 \
      ; echo "exit $?") >"$dst/load-exit.out"
+  local ctl=./_build/default/bin/locusctl.exe
+  (cd "$dir" && $ctl health --seed 42 --out "$dst/health.json" \
+     --series-out "$dst/health-series.json" 2>&1; echo "exit $?") \
+    >"$dst/health.out"
+  (cd "$dir" && $ctl top --seed 42 2>&1; echo "exit $?") >"$dst/top.out"
+  (cd "$dir" && $ctl trace-export --seed 7 --out "$dst/trace.json" 2>&1 \
+     ; echo "exit $?") >"$dst/trace.out"
+  (cd "$dir" && $ctl metrics --seed 7 --out "$dst/metrics.json" 2>&1 \
+     ; echo "exit $?") >"$dst/metrics.out"
   for w in $workloads; do
     (cd "$dir" && bash benchmark/run.sh --workload "$w" --seed 1 \
        --seconds 2 --trace 0 2>/dev/null; echo "exit $?") \
@@ -96,7 +113,7 @@ run_side "$src/base" "$out/base"
 run_side "$src/head" "$out/head"
 
 status=0
-for f in $(cd "$out/base" && ls BENCH_*.json load.json *.out); do
+for f in $(cd "$out/base" && ls *.json *.out); do
   if diff -u "$out/base/$f" "$out/head/$f" >"$out/$f.diff"; then
     rm "$out/$f.diff"
     echo "same   $f"

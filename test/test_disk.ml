@@ -51,7 +51,7 @@ let test_inode_roundtrip () =
   in_sim (fun e ->
       let v = V.create e ~vid:1 () in
       let ino = V.alloc_inode v in
-      V.write_inode v { V.ino; size = 42; pages = [| 3; -1; 7 |]; version = 0 };
+      V.write_inode v { V.ino; size = 42; pages = [| 3; -1; 7 |]; gens = [||]; version = 0 };
       let i = V.read_inode v ino in
       Alcotest.(check int) "size" 42 i.V.size;
       Alcotest.(check (array int)) "pages" [| 3; -1; 7 |] i.V.pages;
@@ -67,7 +67,7 @@ let test_inode_atomicity_model () =
       let v = V.create e ~vid:1 () in
       let ino = V.alloc_inode v in
       let pages = [| 1; 2 |] in
-      V.write_inode v { V.ino; size = 1; pages; version = 0 };
+      V.write_inode v { V.ino; size = 1; pages; gens = [||]; version = 0 };
       pages.(0) <- 99;
       Alcotest.(check int) "snapshot" 1 (V.read_inode_nosim v ino).V.pages.(0))
 

@@ -221,6 +221,30 @@ let test_two_prepared_commit_either_order () =
       Alcotest.(check string) "tx2 bytes" "2222" b)
     [ `Forward; `Backward ]
 
+let test_sole_commit_after_base_slot_reused () =
+  (* Slot numbers are reused LIFO, so two commits between a sole owner's
+     prepare and its commit can free its base slot and install that same
+     number again. The page's commit generation, not its slot number,
+     decides the direct swap (Figure 4a): the stale shadow must merge. *)
+  in_store (fun _e store vol ->
+      let fid = FS.create_file store ~vid:1 in
+      FS.open_file store fid;
+      wr store fid (tx 0) 24 "base";
+      ignore (FS.commit store fid ~owner:(tx 0));
+      let base = (V.read_inode_nosim vol fid.File_id.ino).V.pages.(0) in
+      wr store fid (tx 1) 0 "1111";
+      let i1 = FS.prepare store fid ~owner:(tx 1) in
+      wr store fid (tx 2) 8 "2222";
+      ignore (FS.commit store fid ~owner:(tx 2));
+      wr store fid (tx 3) 16 "3333";
+      ignore (FS.commit store fid ~owner:(tx 3));
+      Alcotest.(check int) "base slot installed again" base
+        (V.read_inode_nosim vol fid.File_id.ino).V.pages.(0);
+      FS.commit_prepared store i1;
+      Alcotest.(check (list string)) "every record committed"
+        [ "1111"; "2222"; "3333"; "base" ]
+        (List.map (fun pos -> rdc store fid pos 4) [ 0; 8; 16; 24 ]))
+
 let test_prepare_crash_recover_commit () =
   (* Volatile state dies; the flushed shadow pages + intentions survive and
      commit_prepared completes from the log. *)
@@ -343,6 +367,8 @@ let suite =
         Alcotest.test_case "commit idempotent" `Quick test_commit_prepared_idempotent;
         Alcotest.test_case "prepared either order" `Quick
           test_two_prepared_commit_either_order;
+        Alcotest.test_case "sole commit after base slot reused" `Quick
+          test_sole_commit_after_base_slot_reused;
         Alcotest.test_case "prepare, crash, commit" `Quick
           test_prepare_crash_recover_commit;
         Alcotest.test_case "prepare, crash, abort" `Quick test_prepare_crash_abort;
