@@ -12,10 +12,13 @@
       deterministic and the ±10% baseline gate holds it.
 
    2. Is the simulator fast enough to be the harness and not the
-      bottleneck? The same runs are timed on the host clock and the
-      dispatch rate (engine events per wall second) is reported as
-      [events_per_sec_wall]. That number is machine-dependent — a claim
-      only enforces a generous floor ([min_wall_eps]), and `dune runtest`
+      bottleneck? The ladder is fired again and again until
+      [min_timed_s] of host time has passed, each pass timed on the host
+      clock, and the median pass's dispatch rate (engine events per wall
+      second) is reported as [events_per_sec_wall]; every pass fires the
+      same events, so the virtual rows come from the first. That number
+      is machine-dependent — a claim only enforces a generous floor
+      ([min_wall_eps]), and `dune runtest`
       proves the floor has teeth by re-running under LOCUS_BREAK=load,
       which arms an O(queue-length) scan per dispatched event in the
       engine: virtual results stay byte-identical while the wall rate
@@ -31,6 +34,11 @@ let seed = 42
    on a laptop-class core, generous for slow CI runners and far above the
    ~25x collapse that LOCUS_BREAK=load inflicts. *)
 let min_wall_eps = 100_000.
+
+(* Host time the engine-speed row samples: one pass of the ladder takes
+   a few hundredths of a second, too short to time on its own. Under
+   LOCUS_BREAK=load the first pass alone takes longer than this. *)
+let min_timed_s = 1.0
 
 let claims =
   let some name pred =
@@ -52,12 +60,25 @@ let run_rate rate =
     { Ld.Scenario.default with Ld.Scenario.arrival = Ld.Arrival.constant rate }
   in
   let cfg = { Ld.Driver.default_config with Ld.Driver.scenario; duration_us; seed } in
+  fst (Ld.Driver.run cfg)
+
+(* One pass of the ladder: its rows and its host time. *)
+let timed_ladder () =
   let wall0 = Unix.gettimeofday () in
-  let report, _sim = Ld.Driver.run cfg in
-  (report, Unix.gettimeofday () -. wall0)
+  let runs = List.map (fun r -> (r, run_rate r)) rates in
+  (runs, Unix.gettimeofday () -. wall0)
 
 let e21 () =
-  let runs = List.map (fun r -> (r, run_rate r)) rates in
+  let runs, wall = timed_ladder () in
+  let rec more walls spent =
+    if spent >= min_timed_s then walls
+    else
+      let _, w = timed_ladder () in
+      more (w :: walls) (spent +. w)
+  in
+  let walls = List.sort Float.compare (more [ wall ] wall) in
+  let passes = List.length walls in
+  let median_wall = List.nth walls (passes / 2) in
   Tables.print_table
     ~title:
       (Printf.sprintf
@@ -66,7 +87,7 @@ let e21 () =
     ~columns:
       [ "offered/s"; "completed/s"; "done/offered"; "sojourn p50"; "p99"; "aborts" ]
     (List.map
-       (fun (_, ((r : Ld.Driver.report), _)) ->
+       (fun (_, (r : Ld.Driver.report)) ->
          [
            Printf.sprintf "%.1f" r.Ld.Driver.offered_per_sec;
            Printf.sprintf "%.1f" r.Ld.Driver.completed_per_sec;
@@ -77,28 +98,30 @@ let e21 () =
          ])
        runs);
   let total_events =
-    List.fold_left (fun a (_, (r, _)) -> a + r.Ld.Driver.events_fired) 0 runs
+    List.fold_left (fun a (_, r) -> a + r.Ld.Driver.events_fired) 0 runs
   in
   let total_virtual_us =
-    List.fold_left (fun a (_, (r, _)) -> a + r.Ld.Driver.virtual_us) 0 runs
+    List.fold_left (fun a (_, r) -> a + r.Ld.Driver.virtual_us) 0 runs
   in
-  let total_wall = List.fold_left (fun a (_, (_, w)) -> a +. w) 0. runs in
   let wall_eps =
-    if total_wall <= 0. then 0. else float_of_int total_events /. total_wall
+    if median_wall <= 0. then 0. else float_of_int total_events /. median_wall
   in
-  Tables.print_table ~title:"E21: engine dispatch speed over the ladder"
-    ~columns:[ "events"; "virtual s"; "wall s"; "events/s (wall)" ]
+  Tables.print_table
+    ~title:"E21: engine dispatch speed over the ladder (median pass)"
+    ~columns:[ "events"; "virtual s"; "passes"; "host s"; "wall s"; "events/s (wall)" ]
     [
       [
         string_of_int total_events;
         Printf.sprintf "%.1f" (float_of_int total_virtual_us /. 1e6);
-        Printf.sprintf "%.3f" total_wall;
+        string_of_int passes;
+        Printf.sprintf "%.3f" (List.fold_left ( +. ) 0. walls);
+        Printf.sprintf "%.3f" median_wall;
         Printf.sprintf "%.0f" wall_eps;
       ];
     ];
   Gate.publish ~exp:"e21" ~claims
     (List.map
-       (fun (rate, ((r : Ld.Driver.report), _)) ->
+       (fun (rate, (r : Ld.Driver.report)) ->
          (* ops_per_sec / p50 are virtual-clock values: deterministic per
             seed, held by the ±10% baseline gate. *)
          {
@@ -131,7 +154,7 @@ let e21 () =
              ~extras:
                [
                  ("events_fired", float_of_int total_events);
-                 ("wall_s", total_wall);
+                 ("wall_s", median_wall);
                  ("events_per_sec_wall", wall_eps);
                  ("break_load", if Mutant.(armed Load) then 1. else 0.);
                ]

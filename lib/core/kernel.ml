@@ -8,6 +8,7 @@ module Shard_policy = Locus_shard.Policy
 module Hreport = Locus_health.Report
 module Hsampler = Locus_health.Sampler
 module Hrules = Locus_health.Rules
+module Hseries = Locus_health.Series
 
 type outcome = Committed | Aborted
 
@@ -201,11 +202,15 @@ and cluster = {
 
 (* Live health plane state (armed by [Config.with_health]): the cluster
    sampler, one edge-triggered rules evaluator per site plus one for
-   cluster-scope rules, and the alarm history (newest first). *)
+   cluster-scope rules, the three series those read (looked up once, at
+   arm time) and the alarm history (newest first). *)
 and health_plane = {
   hp_sampler : Hsampler.t;
   hp_site_rules : Hrules.t array;
   hp_cluster_rules : Hrules.t;
+  hp_lock_wait_p99 : Hseries.t;
+  hp_retries : Hseries.t;
+  hp_migrations : Hseries.t;
   mutable hp_alarms : Hrules.alarm list;
 }
 
@@ -2301,9 +2306,10 @@ let dedup_cached k =
 (* (count, max age in µs) of this kernel's in-doubt transactions. *)
 let health_in_doubt k =
   let now = Engine.now k.engine in
-  Hashtbl.fold
-    (fun _ entered (n, oldest) -> (n + 1, max oldest (now - entered)))
-    k.doubted (0, 0)
+  ( Hashtbl.length k.doubted,
+    Hashtbl.fold
+      (fun _ entered oldest -> Int.max oldest (now - entered))
+      k.doubted 0 )
 
 let health_hot_cells k =
   Hashtbl.fold
@@ -2371,8 +2377,8 @@ let health_tick cl hp =
   let now = Engine.now e in
   Hsampler.tick hp.hp_sampler ~now_us:now;
   let st = Engine.stats e in
-  let last name =
-    Option.value (Hsampler.last_value hp.hp_sampler name) ~default:0
+  let last s =
+    match Hseries.last s with Some p -> p.Hseries.p_value | None -> 0
   in
   let raise_alarm (a : Hrules.alarm) =
     Stats.incr st ("health.alarm." ^ a.Hrules.al_name);
@@ -2384,10 +2390,16 @@ let health_tick cl hp =
   (* Cluster-scope rules read this window's series values... *)
   let ci =
     {
-      (Hrules.zero_input ~site:(-1) ~now_us:now) with
-      Hrules.in_lock_wait_p99_us = last "lock_wait_p99_us";
-      in_retries = last "retries";
-      in_migrations = last "migrations";
+      Hrules.in_site = -1;
+      in_now_us = now;
+      in_in_doubt = 0;
+      in_in_doubt_max_age_us = 0;
+      in_lock_wait_p99_us = last hp.hp_lock_wait_p99;
+      in_retries = last hp.hp_retries;
+      in_migrations = last hp.hp_migrations;
+      in_dedup_entries = 0;
+      in_dedup_capacity = 1;
+      in_degraded_copies = 0;
     }
   in
   List.iter raise_alarm (Hrules.evaluate hp.hp_cluster_rules ci);
@@ -2398,9 +2410,13 @@ let health_tick cl hp =
         let in_doubt, max_age = health_in_doubt k in
         let i =
           {
-            (Hrules.zero_input ~site:k.site ~now_us:now) with
-            Hrules.in_in_doubt = in_doubt;
+            Hrules.in_site = k.site;
+            in_now_us = now;
+            in_in_doubt = in_doubt;
             in_in_doubt_max_age_us = max_age;
+            in_lock_wait_p99_us = 0;
+            in_retries = 0;
+            in_migrations = 0;
             in_dedup_entries = dedup_cached k;
             in_dedup_capacity = reply_cache_capacity;
             in_degraded_copies = List.length (Status.degraded k.repl);
@@ -2464,11 +2480,15 @@ let health_arm cl =
         (Printf.sprintf "site%d.in_doubt" s)
         (Hsampler.Gauge (fun () -> Hashtbl.length cl.ks.(s).doubted))
     done;
+    let series name = Option.get (Hsampler.find sp name) in
     let hp =
       {
         hp_sampler = sp;
         hp_site_rules = Array.init cl.cfg.Config.n_sites (fun _ -> Hrules.create ());
         hp_cluster_rules = Hrules.create ();
+        hp_lock_wait_p99 = series "lock_wait_p99_us";
+        hp_retries = series "retries";
+        hp_migrations = series "migrations";
         hp_alarms = [];
       }
     in

@@ -79,66 +79,66 @@ let create ?(thresholds = default) () =
 
 let thresholds t = t.th
 
+(* One rule's edge: prepend an alarm to [acc] when [firing] turns true,
+   re-arm the rule when it clears. [detail] is formatted only for an
+   alarm, and reads its arguments so that it captures nothing. *)
+let edge t i name firing detail acc =
+  let was = List.mem name t.active in
+  if firing && not was then begin
+    t.active <- name :: t.active;
+    {
+      al_name = name;
+      al_site = i.in_site;
+      al_at_us = i.in_now_us;
+      al_detail = detail t i;
+    }
+    :: acc
+  end
+  else begin
+    if (not firing) && was then
+      t.active <- List.filter (fun n -> n <> name) t.active;
+    acc
+  end
+
 let evaluate t i =
   if Mutant.(armed Health) then []
   else begin
     t.degraded_streak <-
       (if i.in_degraded_copies > 0 then t.degraded_streak + 1 else 0);
     let th = t.th in
-    let conds =
-      [
-        ( "in_doubt_age",
-          i.in_in_doubt > 0 && i.in_in_doubt_max_age_us >= th.in_doubt_age_us,
-          fun () ->
-            Fmt.str "%d txn(s) in doubt, oldest %d us (limit %d)"
-              i.in_in_doubt i.in_in_doubt_max_age_us th.in_doubt_age_us );
-        ( "lock_wait_p99",
-          i.in_lock_wait_p99_us >= th.lock_wait_p99_us,
-          fun () ->
-            Fmt.str "window lock-wait p99 %d us (limit %d)"
-              i.in_lock_wait_p99_us th.lock_wait_p99_us );
-        ( "retry_storm",
-          i.in_retries >= th.retry_storm,
-          fun () ->
-            Fmt.str "%d RPC retries in one window (limit %d)" i.in_retries
-              th.retry_storm );
-        ( "migration_flap",
-          i.in_migrations >= th.migration_flap,
-          fun () ->
-            Fmt.str "%d ownership migrations in one window (limit %d)"
-              i.in_migrations th.migration_flap );
-        ( "reply_cache_pressure",
-          i.in_dedup_capacity > 0
-          && i.in_dedup_entries * 100 >= th.dedup_pct * i.in_dedup_capacity,
-          fun () ->
-            Fmt.str "reply cache at %d/%d entries (limit %d%%)"
-              i.in_dedup_entries i.in_dedup_capacity th.dedup_pct );
-        ( "replica_degraded",
-          t.degraded_streak >= th.degraded_windows,
-          fun () ->
-            Fmt.str "%d degraded copies for %d consecutive windows (limit %d)"
-              i.in_degraded_copies t.degraded_streak th.degraded_windows );
-      ]
-    in
-    List.filter_map
-      (fun (name, firing, detail) ->
-        let was = List.mem name t.active in
-        if firing && not was then begin
-          t.active <- name :: t.active;
-          Some
-            {
-              al_name = name;
-              al_site = i.in_site;
-              al_at_us = i.in_now_us;
-              al_detail = detail ();
-            }
-        end
-        else begin
-          if (not firing) && was then
-            t.active <- List.filter (fun n -> n <> name) t.active;
-          None
-        end)
-      conds
+    []
+    |> edge t i "in_doubt_age"
+         (i.in_in_doubt > 0 && i.in_in_doubt_max_age_us >= th.in_doubt_age_us)
+         (fun t i ->
+           Fmt.str "%d txn(s) in doubt, oldest %d us (limit %d)" i.in_in_doubt
+             i.in_in_doubt_max_age_us t.th.in_doubt_age_us)
+    |> edge t i "lock_wait_p99"
+         (i.in_lock_wait_p99_us >= th.lock_wait_p99_us)
+         (fun t i ->
+           Fmt.str "window lock-wait p99 %d us (limit %d)" i.in_lock_wait_p99_us
+             t.th.lock_wait_p99_us)
+    |> edge t i "retry_storm"
+         (i.in_retries >= th.retry_storm)
+         (fun t i ->
+           Fmt.str "%d RPC retries in one window (limit %d)" i.in_retries
+             t.th.retry_storm)
+    |> edge t i "migration_flap"
+         (i.in_migrations >= th.migration_flap)
+         (fun t i ->
+           Fmt.str "%d ownership migrations in one window (limit %d)"
+             i.in_migrations t.th.migration_flap)
+    |> edge t i "reply_cache_pressure"
+         (i.in_dedup_capacity > 0
+         && i.in_dedup_entries * 100 >= th.dedup_pct * i.in_dedup_capacity)
+         (fun t i ->
+           Fmt.str "reply cache at %d/%d entries (limit %d%%)" i.in_dedup_entries
+             i.in_dedup_capacity t.th.dedup_pct)
+    |> edge t i "replica_degraded"
+         (t.degraded_streak >= th.degraded_windows)
+         (fun t i ->
+           Fmt.str "%d degraded copies for %d consecutive windows (limit %d)"
+             i.in_degraded_copies t.degraded_streak t.th.degraded_windows)
+    |> List.rev
   end
 
 let active t = List.sort String.compare t.active

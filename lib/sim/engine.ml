@@ -311,7 +311,7 @@ let run ?(max_events = 50_000_000) ?until t =
           (match slot.s_value with
           | Cancellable c when c.cancelled -> t.dead <- t.dead - 1
           | ev ->
-            t.now <- max t.now slot.s_time;
+            if slot.s_time > t.now then t.now <- slot.s_time;
             incr fired;
             t.fired <- t.fired + 1;
             if !fired > max_events then

@@ -1,4 +1,4 @@
-(** Mutable binary min-heap keyed by [(time, seq)].
+(** Mutable 4-ary min-heap keyed by [(time, seq)].
 
     The sequence number makes event ordering a total order, which in turn
     makes the whole simulation deterministic: two events scheduled for the
@@ -7,8 +7,10 @@
     The heap is laid out as parallel arrays (times / seqs / values), so a
     [push]/[pop_into] cycle performs no allocation — this is the
     simulator's hot path and the open-loop traffic engine pushes it to
-    millions of events per second. A slot that {!pop}, {!pop_into} or
-    {!retain} vacates no longer references its value. *)
+    millions of events per second. Each level of a sift moves one entry
+    into a hole and the sifted entry is written once, at its final slot.
+    A slot that {!pop}, {!pop_into} or {!retain} vacates no longer
+    references its value. *)
 
 type 'a t
 

@@ -202,6 +202,107 @@ let test_pqueue_pop_into () =
   Alcotest.(check bool) "miss on empty" false (Pqueue.pop_into q slot);
   Alcotest.(check string) "slot untouched on miss" "late" slot.Pqueue.s_value
 
+(* Model test: random interleavings of [push], [pop_into], [min_time] and
+   [retain] against a sorted list. Times come from 0..3, so most keys tie
+   on time and order by seq, and odd pushes take negative seqs, so that
+   order is not push order. Half the cases stay short (sizes 0-6, around
+   the fan-out of 4), half grow past the initial capacity of 16; [Retain
+   1] drops everything. After the ops, every value the heap gave up must
+   be unreachable (vacated slots hold the dummy) and the rest drain in
+   the model's order. *)
+type pq_op = Push of int | Pop | Min | Retain of int
+
+let show_pq_op = function
+  | Push t -> Printf.sprintf "Push %d" t
+  | Pop -> "Pop"
+  | Min -> "Min"
+  | Retain k -> Printf.sprintf "Retain %d" k
+
+let prop_pqueue_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun t -> Push t) (int_bound 3));
+          (3, return Pop);
+          (1, return Min);
+          (1, map (fun k -> Retain k) (int_range 1 4));
+        ])
+  in
+  let ops = QCheck.Gen.(oneof [ list_size (int_bound 10) op; list_size (int_range 20 80) op ]) in
+  QCheck.Test.make ~name:"pqueue agrees with a sorted-list model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list show_pq_op) ~shrink:QCheck.Shrink.list ops)
+    (fun ops ->
+      let q = Pqueue.create ~dummy:(ref (-1)) in
+      let slot = Pqueue.make_slot (ref (-1)) in
+      let w = Weak.create (List.length ops + 1) in
+      let model = ref [] and pushed = ref 0 and ok = ref true in
+      let check b = if not b then ok := false in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push time ->
+            let i = !pushed in
+            incr pushed;
+            let seq = if i mod 2 = 0 then i else -i in
+            let v = ref i in
+            Weak.set w i (Some v);
+            Pqueue.push q ~time ~seq v;
+            model := List.merge compare [ (time, seq, i) ] !model
+          | Pop -> (
+            match !model with
+            | [] -> check (not (Pqueue.pop_into q slot))
+            | (time, seq, i) :: rest ->
+              model := rest;
+              check
+                (Pqueue.pop_into q slot
+                && slot.Pqueue.s_time = time
+                && slot.Pqueue.s_seq = seq
+                && !(slot.Pqueue.s_value) = i))
+          | Min ->
+            let expected = match !model with [] -> max_int | (t, _, _) :: _ -> t in
+            check (Pqueue.min_time q = expected)
+          | Retain k ->
+            Pqueue.retain q (fun v -> !v mod k <> 0);
+            model := List.filter (fun (_, _, i) -> i mod k <> 0) !model);
+          check (Pqueue.length q = List.length !model))
+        ops;
+      slot.Pqueue.s_value <- ref (-1);
+      Gc.full_major ();
+      for i = 0 to !pushed - 1 do
+        check (Weak.check w i = List.exists (fun (_, _, j) -> j = i) !model)
+      done;
+      List.iter
+        (fun (time, seq, i) ->
+          match Pqueue.pop q with
+          | Some (t, s, v) -> check (t = time && s = seq && !v = i)
+          | None -> check false)
+        !model;
+      !ok && Pqueue.is_empty q)
+
+(* [retain] down to 0 and 1 entries, from every size 0-6, and on a heap
+   that never grew (its arrays have no slot 0). *)
+let test_pqueue_retain_small () =
+  let q = Pqueue.create ~dummy:(-1) in
+  Pqueue.retain q (fun _ -> true);
+  Alcotest.(check int) "never grown" 0 (Pqueue.length q);
+  for size = 0 to 6 do
+    for kept = 0 to min 1 size do
+      let q = Pqueue.create ~dummy:(-1) in
+      for i = 0 to size - 1 do
+        Pqueue.push q ~time:(size - i) ~seq:i i
+      done;
+      Pqueue.retain q (fun v -> kept = 1 && v = size / 2);
+      let what = Printf.sprintf "size %d kept %d" size kept in
+      Alcotest.(check int) what kept (Pqueue.length q);
+      Alcotest.(check (option (triple int int int)))
+        what
+        (if kept = 1 then Some (size - (size / 2), size / 2, size / 2) else None)
+        (Pqueue.pop q);
+      Alcotest.(check int) (what ^ ", min_time") max_int (Pqueue.min_time q)
+    done
+  done
+
 let test_sleep_ordering () =
   let order = ref [] in
   let e =
@@ -407,6 +508,8 @@ let suite =
         Alcotest.test_case "push after drain to empty" `Quick
           test_pqueue_push_after_drain;
         Alcotest.test_case "pop_into + min_time" `Quick test_pqueue_pop_into;
+        QCheck_alcotest.to_alcotest prop_pqueue_model;
+        Alcotest.test_case "retain down to 0 and 1" `Quick test_pqueue_retain_small;
       ] );
     ( "sim.engine",
       [
